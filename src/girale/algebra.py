@@ -741,9 +741,34 @@ def algebra_to_json(A: FiniteAlgebra) -> dict:
     return data
 
 
+def _is_list_of(value, kind: type) -> bool:
+    """JSON shape check: a list whose items are exactly of ``kind`` (so no bools for int)."""
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
 def algebra_from_json(data: dict) -> FiniteAlgebra:
-    to_table = lambda rows: tuple(tuple(r) for r in rows)  # noqa: E731
+    """Load an algebra object, raising ValueError naming the bad field.
+
+    Shape and types are checked here, table sizes and ranges by FiniteAlgebra.
+    A null zero, bot, top or names reads as absent.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("Algebra JSON must be an object.")
+    for key in ("size", "meet", "join", "mult", "imp", "one"):
+        if key not in data:
+            raise ValueError(f"Algebra JSON field {key!r} is missing.")
+    for key in ("size", "one", "zero", "bot", "top"):
+        if data.get(key) is not None and type(data[key]) is not int:
+            raise ValueError(f"Algebra JSON field {key!r} must be an integer.")
+    for key in ("meet", "join", "mult", "imp"):
+        if not (_is_list_of(data[key], list) and all(_is_list_of(r, int) for r in data[key])):
+            raise ValueError(f"Algebra JSON field {key!r} must be a table of integers.")
+    if "bang" in data and not _is_list_of(data["bang"], int):
+        raise ValueError("Algebra JSON field 'bang' must be a list of integers.")
     names = data.get("names")
+    if names is not None and not _is_list_of(names, str):
+        raise ValueError("Algebra JSON field 'names' must be a list of strings.")
+    to_table = lambda rows: tuple(tuple(r) for r in rows)  # noqa: E731
     return FiniteAlgebra(
         size=data["size"],
         meet=to_table(data["meet"]),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import AlgHom, FiniteAlgebra, trivial_algebra
-from .construct import KClassQuery, MembershipResult, build_R, lift_embedding, member_K, restrict_embedding
+from .construct import KClassQuery, MembershipResult, build_R, lift_embedding, member_K
 from .group import (
     FiniteGroup,
     GroupHom,
@@ -102,7 +102,10 @@ def _group_data(result: MembershipResult):
 def _leg_group_hom(
     src: MembershipResult, phi: AlgHom, tgt: MembershipResult
 ) -> GroupHom:
-    """Group embedding induced on subreducts by an algebra embedding."""
+    """Group embedding induced on subreducts by an algebra embedding.
+
+    ``build_R`` puts group element g at index g, so it is read off the canonical isomorphisms.
+    """
     tgt_group, tgt_canon = _group_data(tgt)
     src_group, src_canon = _group_data(src)
     if src_canon is None:
@@ -112,10 +115,9 @@ def _leg_group_hom(
     for x, v in enumerate(src_canon.mapping):
         inverse[v] = x
     mapping = tuple(
-        tgt_canon.mapping[phi.mapping[inverse[i]]] for i in range(len(inverse))
+        tgt_canon.mapping[phi.mapping[inverse[g]]] for g in range(src_group.size)
     )
-    composite = AlgHom(src_canon.target, tgt_canon.target, mapping)
-    return restrict_embedding(composite)
+    return GroupHom(src_group, tgt_group, mapping)
 
 
 def amalgamate(span: Span, query: KClassQuery, max_size: int | None = None) -> Amalgam:
@@ -145,11 +147,9 @@ def amalgamate(span: Span, query: KClassQuery, max_size: int | None = None) -> A
         if result.trivial:
             return AlgHom(endpoint, D, (D.one,))
         assert result.canon is not None
-        lifted = lift_embedding(leg, query.signature)
-        mapping = tuple(
-            lifted.mapping[result.canon.mapping[x]] for x in range(endpoint.size)
-        )
-        return AlgHom(endpoint, D, mapping)
+        # the lift of the pushout leg: group indices kept, bounds after the group
+        lifted = leg.mapping + (po.group.size, po.group.size + 1)
+        return AlgHom(endpoint, D, tuple(lifted[v] for v in result.canon.mapping))
 
     psi1 = lifted_leg(span.B, results["B"], po.into_left)
     psi2 = lifted_leg(span.C, results["C"], po.into_right)
@@ -188,11 +188,10 @@ def _member_embeddings(
         return [candidate] if not candidate.violations() else []
     if tgt_group is None:
         return []
-    out = []
-    for alpha in group_homs(src_group, tgt_group, injective_only=True):
-        lifted = lift_embedding(alpha, signature)
-        out.append(AlgHom(src_alg, tgt_alg, lifted.mapping))
-    return out
+    return [
+        lift_embedding(alpha, signature)
+        for alpha in group_homs(src_group, tgt_group, injective_only=True)
+    ]
 
 
 def span_catalog(

@@ -1,7 +1,8 @@
 """Command-line interface: one verb per workbench operation, JSON-first output.
 
 Exit codes: 0 success or a true judgment, 1 a false judgment (countermodel
-attached), 2 usage or input errors, 3 capacity errors.  With --json every
+attached), 2 usage or input errors, 3 capacity errors, 4 an internal error
+(a bug: any other exception, reported with its message).  With --json every
 payload is a single JSON object embedding the tool version and SHA-256
 hashes of all inputs, so repeated runs are byte-identical.
 """
@@ -18,6 +19,8 @@ from pathlib import Path
 from . import __version__
 from .algebra import (
     CLASS_TAGS,
+    AlgHom,
+    _is_list_of,
     algebra_from_json,
     algebra_to_json,
     check_class,
@@ -45,6 +48,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -92,11 +96,15 @@ def _factors(text: str) -> list[int]:
         raise UsageError(f"Bad group spec {text!r}; use e.g. '3' or '2,2'.") from exc
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_algebra(inputs: _Inputs, path: str):
-    data = inputs.json_file("algebra", path)
-    if not isinstance(data, dict):
-        raise UsageError(f"{path}: expected an algebra object.")
-    return algebra_from_json(data)
+    return algebra_from_json(inputs.json_file("algebra", path))
 
 
 def _element_index(A, token: str) -> int:
@@ -203,23 +211,9 @@ def _cmd_homs(args, inputs: _Inputs):
 
 
 def _cmd_amalgamate(args, inputs: _Inputs):
-    data = inputs.json_file("span", args.span)
-    if not isinstance(data, dict):
-        raise UsageError("Span file must be a JSON object.")
-    A = algebra_from_json(data["A"])
-    B = algebra_from_json(data["B"])
-    C = algebra_from_json(data["C"])
-    from .algebra import AlgHom
-
-    span = Span(
-        A,
-        B,
-        C,
-        AlgHom(A, B, tuple(data["phi1"])),
-        AlgHom(A, C, tuple(data["phi2"])),
-    )
+    span = _span_from_json(inputs.json_file("span", args.span))
     primes = _primes(inputs.text("primes", args.primes))
-    query = KClassQuery(primes, A.signature)
+    query = KClassQuery(primes, span.A.signature)
     amalgam = amalgamate(span, query)
     report = verify_amalgam(span, amalgam, strong=True)
     payload = {
@@ -234,6 +228,23 @@ def _cmd_amalgamate(args, inputs: _Inputs):
         "strong": report.strong,
     }
     return (EXIT_TRUE if report.passed else EXIT_FALSE), payload
+
+
+def _span_from_json(data) -> Span:
+    """Span bundle {A, B, C, phi1, phi2}; shape and types checked, naming the field."""
+    if not isinstance(data, dict):
+        raise UsageError("Span file must be a JSON object.")
+    algebras = {}
+    for key in ("A", "B", "C"):
+        try:
+            algebras[key] = algebra_from_json(data[key])
+        except ValueError as exc:
+            raise ValueError(f"Span field {key!r}: {exc}") from exc
+    for key in ("phi1", "phi2"):
+        if not _is_list_of(data[key], int):
+            raise ValueError(f"Span field {key!r} must be a list of integers.")
+    A, B, C = algebras["A"], algebras["B"], algebras["C"]
+    return Span(A, B, C, AlgHom(A, B, tuple(data["phi1"])), AlgHom(A, C, tuple(data["phi2"])))
 
 
 def _cmd_eval(args, inputs: _Inputs):
@@ -344,6 +355,10 @@ def _cmd_check_proof(args, inputs: _Inputs):
         steps_json = data["steps"]
         system_name = data.get("system", args.system)
         premise_texts = data.get("premises", [])
+        if not isinstance(system_name, str):
+            raise ValueError("Derivation field 'system' must be a string.")
+        if not _is_list_of(premise_texts, str):
+            raise ValueError("Derivation field 'premises' must be a list of strings.")
     else:
         steps_json = data
         system_name = args.system
@@ -461,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("congruences", help="congruence count, simplicity, FSI")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-size", type=int, default=32)
+    p.add_argument("--max-size", type=_non_negative, default=32)
     p.set_defaults(handler=_cmd_congruences)
 
     p = add_parser("homs", help="enumerate homomorphisms between algebra files")
@@ -494,14 +509,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--premise", required=True)
     p.add_argument("--conclusion", required=True)
     p.add_argument("--mode", choices=("deductive", "craig", "guarded"), required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_non_negative, default=4)
     p.add_argument("--mixed-guard", action="store_true")
     p.add_argument("--notation", choices=("substructural", "girard"), default="substructural")
     p.set_defaults(handler=_cmd_interpolate)
 
     p = add_parser("prove", help="backward cut-free sequent search")
     p.add_argument("--sequent", required=True, help="e.g. 'x, x -> y => y'")
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_non_negative, default=8)
     p.add_argument("--no-exchange", action="store_true")
     p.set_defaults(handler=_cmd_prove)
 
@@ -513,10 +528,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("catalog", help="batch construction and amalgamation suite")
     p.add_argument("--primes", required=True)
-    p.add_argument("--max-order", type=int, default=7)
+    p.add_argument("--max-order", type=_non_negative, default=7)
     p.add_argument("--sig", default="none;0;0,bot,top;full", help="semicolon list of signatures")
     p.add_argument("--spans", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_non_negative, default=1)
     p.set_defaults(handler=_cmd_catalog)
 
     return top
@@ -537,6 +552,8 @@ def run(argv: list[str] | None = None) -> int:
         code, payload = EXIT_USAGE, {"error": f"{type(exc).__name__}: {exc}"}
     except CapacityError as exc:
         code, payload = EXIT_CAPACITY, {"error": str(exc)}
+    except Exception as exc:
+        code, payload = EXIT_INTERNAL, {"error": f"internal error: {type(exc).__name__}: {exc}"}
     meta = {"version": __version__, "inputs": dict(sorted(inputs.hashes.items()))}
     if getattr(args, "json", False):
         document = {"meta": meta, "result": payload, "exit": code}

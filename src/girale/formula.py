@@ -73,6 +73,12 @@ TOP = Const("top")
 
 NOTATIONS = ("substructural", "girard")
 
+# Deepest nesting ``parse`` accepts, both of parentheses and of connectives
+# (``depth``).  It keeps the parser, which recurses only into parentheses, and
+# the recursive walkers (render, eval_formula, free_variables, depth, ...)
+# well inside the default recursion limit.
+MAX_NESTING = 100
+
 _RESERVED_NAMES = frozenset({"bot", "top"})
 
 
@@ -166,6 +172,7 @@ class _Parser:
         self.notation = notation
         self.tokens = list(_tokenize(text, notation))
         self.index = 0
+        self.parens = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -182,12 +189,17 @@ class _Parser:
         return self.advance()
 
     def parse_form(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "IMP":
+        node = self.parse_or()
+        if self.peek().kind != "IMP":
+            return node
+        operands = [node]
+        while self.peek().kind == "IMP":
             self.advance()
-            right = self.parse_form()
-            return BinOp("imp", left, right)
-        return left
+            operands.append(self.parse_or())
+        node = operands.pop()
+        while operands:
+            node = BinOp("imp", operands.pop(), node)
+        return node
 
     def parse_or(self) -> Formula:
         node = self.parse_and()
@@ -211,14 +223,15 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "BANG":
-            self.advance()
-            return Bang(self.parse_unary())
-        if tok.kind == "NEG":
-            self.advance()
-            return negation(self.parse_unary())
-        return self.parse_postfix()
+        if self.peek().kind not in ("BANG", "NEG"):
+            return self.parse_postfix()
+        prefixes = []
+        while self.peek().kind in ("BANG", "NEG"):
+            prefixes.append(self.advance().kind)
+        node = self.parse_postfix()
+        for kind in reversed(prefixes):
+            node = Bang(node) if kind == "BANG" else negation(node)
+        return node
 
     def parse_postfix(self) -> Formula:
         node = self.parse_atom()
@@ -230,8 +243,12 @@ class _Parser:
     def parse_atom(self) -> Formula:
         tok = self.advance()
         if tok.kind == "LP":
+            self.parens += 1
+            if self.parens > MAX_NESTING:
+                raise ParseError(f"Parentheses nest deeper than {MAX_NESTING}", tok.pos)
             node = self.parse_form()
             self.expect("RP")
+            self.parens -= 1
             return node
         if tok.kind == "NUM":
             if self.notation == "substructural":
@@ -273,6 +290,17 @@ def parse(text: str, notation: str = "substructural") -> Formula:
     tail = parser.peek()
     if tail.kind != "EOF":
         raise ParseError(f"Trailing input {tail.text!r}", tail.pos)
+    # each token adds at most one level, so only long inputs need the walk,
+    # which is iterative because the tree may be deeper than the recursion limit
+    stack = [(node, 0)] if len(parser.tokens) > MAX_NESTING else []
+    while stack:
+        sub, level = stack.pop()
+        if level > MAX_NESTING:
+            raise ParseError(f"Connectives nest deeper than {MAX_NESTING}", 0)
+        if isinstance(sub, Bang):
+            stack.append((sub.child, level + 1))
+        elif isinstance(sub, BinOp):
+            stack.extend(((sub.left, level + 1), (sub.right, level + 1)))
     return node
 
 

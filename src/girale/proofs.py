@@ -230,6 +230,19 @@ def check_derivation(
 
 
 def steps_from_json(data: Sequence[dict]) -> tuple[Step, ...]:
+    """Load derivation steps, raising ValueError naming the bad field."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError("Derivation steps must be a list.")
+    for number, entry in enumerate(data, 1):
+        where = f"Derivation step {number}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object.")
+        for key in ("formula", "rule"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"{where} field {key!r} must be a string.")
+        refs = entry.get("refs", [])
+        if not (isinstance(refs, (list, tuple)) and all(type(r) is int for r in refs)):
+            raise ValueError(f"{where} field 'refs' must be a list of integers.")
     return tuple(
         Step(
             formula=parse(entry["formula"]),
@@ -544,10 +557,6 @@ class CraigResult:
     semantically_valid: bool
 
 
-def _counter(formulas: Iterable[Formula]) -> Counter:
-    return Counter(formulas)
-
-
 def _take(available: Counter, wanted: Iterable[Formula]) -> Counter:
     """Greedy sub-multiset of `available` along `wanted`, by formula value."""
     taken: Counter = Counter()
@@ -627,7 +636,7 @@ def _interpolate(node: SequentProof, left: Counter) -> Formula:
         left_sigma = _take(remaining, first.sequent.antecedent)
         left_keep = +(remaining - left_sigma)
         if on_left:
-            flipped = Counter(_counter(first.sequent.antecedent) - left_sigma)
+            flipped = Counter(first.sequent.antecedent) - left_sigma
             epsilon = _interpolate(first, +flipped)
             left_keep[f.right] += 1
             zeta = _interpolate(second, left_keep)

@@ -4,12 +4,13 @@ from girale.algebra import AlgHom, identity_alg_hom, trivial_algebra
 from girale.amalgam import (
     Amalgam,
     Span,
+    _leg_group_hom,
     amalgamate,
     class_catalog,
     span_catalog,
     verify_amalgam,
 )
-from girale.construct import KClassQuery, build_R, member_K, split_R
+from girale.construct import KClassQuery, build_R, member_K, restrict_embedding, split_R
 from girale.group import PrimeSet, group_homs, make_group
 
 Z3 = make_group([3])
@@ -153,6 +154,30 @@ def test_span_catalog_small_sweep():
         assert member_K(amalgam.D, query).member
         count += 1
     assert count == 45
+
+
+def test_leg_group_hom_matches_restriction():
+    """The group leg read off the canonical isomorphisms is the restriction of
+    the composite canon(B) . phi . canon(A)^-1 between the rebuilt expansions."""
+    primes = PrimeSet.of(2)
+    sig = frozenset()
+    query = KClassQuery(primes, sig)
+    legs = 0
+    for span in span_catalog(primes, sig, 5):
+        src = member_K(span.A, query)
+        if src.trivial:
+            continue
+        for phi, target in ((span.phi1, span.B), (span.phi2, span.C)):
+            tgt = member_K(target, query)
+            inverse = {v: x for x, v in enumerate(src.canon.mapping)}
+            composite = AlgHom(
+                src.canon.target,
+                tgt.canon.target,
+                tuple(tgt.canon.mapping[phi.mapping[inverse[i]]] for i in range(span.A.size)),
+            )
+            assert _leg_group_hom(src, phi, tgt) == restrict_embedding(composite)
+            legs += 1
+    assert legs > 20
 
 
 def test_class_catalog_respects_sigma():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from girale.cli import run
 
 
@@ -199,3 +201,81 @@ def test_catalog_command(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["build", "--sig", "none"]) == 2
     assert run(["nonsense"]) == 2
+
+
+def _r_z2_full():
+    from girale.algebra import algebra_to_json
+    from girale.construct import SIGNATURE_FULL, build_R
+    from girale.group import make_group
+
+    return algebra_to_json(build_R(make_group([2]), SIGNATURE_FULL))
+
+
+def _with(data, **changes):
+    out = json.loads(json.dumps(data))
+    out.update(changes)
+    return out
+
+
+ALG = _r_z2_full()
+FLOAT_TABLE = [[0.5] + row[1:] for row in ALG["meet"]]
+
+# (verb and flags, file contents for the {file} placeholder or None)
+MALFORMED = {
+    "algebra-float": (["member-k", "--algebra", "{file}", "--primes", "2"], _with(ALG, meet=FLOAT_TABLE)),
+    "algebra-bang-null": (["member-k", "--algebra", "{file}", "--primes", "2"], _with(ALG, bang=None)),
+    "algebra-one-string": (["member-k", "--algebra", "{file}", "--primes", "2"], _with(ALG, one="0")),
+    "algebra-not-object": (["homs", "--source", "{file}", "--target", "{file}"], [1, 2]),
+    "group-float": (["build", "--group-file", "{file}"], {"table": [[0, 1], [1, 0.0]]}),
+    "group-factors-string": (["build", "--group-file", "{file}"], {"invariant_factors": "3"}),
+    "span-list-A": (
+        ["amalgamate", "--span", "{file}", "--primes", "2"],
+        {"A": [], "B": ALG, "C": ALG, "phi1": [0], "phi2": [0]},
+    ),
+    "span-float-phi": (
+        ["amalgamate", "--span", "{file}", "--primes", "2"],
+        {"A": ALG, "B": ALG, "C": ALG, "phi1": [0.0, 1, 2, 3], "phi2": [0, 1, 2, 3]},
+    ),
+    "derivation-steps-number": (["check-proof", "--file", "{file}"], {"steps": 5}),
+    "derivation-formula-number": (["check-proof", "--file", "{file}"], [{"formula": 3}]),
+    "derivation-refs-string": (
+        ["check-proof", "--file", "{file}"],
+        [{"formula": "x", "rule": "mp", "refs": "12"}],
+    ),
+    "deep-parentheses": (["parse", "(" * 3000 + "x" + ")" * 3000], None),
+    "negative-depth": (
+        ["interpolate", "--algebras", "{file}", "--premise", "x", "--conclusion", "x",
+         "--mode", "craig", "--depth", "-3"],
+        ALG,
+    ),
+    "negative-max-order": (["catalog", "--primes", "2", "--max-order", "-1"], None),
+    "negative-bound": (["prove", "--sequent", "x => x", "--bound", "-1"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_usage_error(case, tmp_path, capsys):
+    argv, contents = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if contents is not None:
+        path.write_text(json.dumps(contents))
+    code = run([arg.replace("{file}", str(path)) for arg in argv] + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    if captured.out:  # argparse rejections print usage to stderr instead
+        assert json.loads(captured.out)["result"]["error"]
+    else:
+        assert "error" in captured.err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import girale.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "parse", broken)
+    code, doc = invoke_json(capsys, ["parse", "x"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert doc["result"]["error"] == "internal error: RuntimeError: boom"

@@ -115,10 +115,18 @@ def test_split_R_rejects_non_expansions():
 
 
 def test_lift_and_restrict_roundtrip():
-    for alpha in group_homs(Z3, Z9, injective_only=True):
-        beta = lift_embedding(alpha, SIGNATURE_FULL)
-        assert beta.is_injective() and not beta.violations()
-        assert restrict_embedding(beta).mapping == alpha.mapping
+    catalog = [make_group(chain or [1]) for chain in abelian_group_catalog(8)]
+    pairs = 0
+    for source in catalog:
+        for target in catalog:
+            for alpha in group_homs(source, target, injective_only=True):
+                beta = lift_embedding(alpha, SIGNATURE_FULL)
+                assert beta.is_injective() and not beta.violations()
+                back = restrict_embedding(beta)
+                assert back.mapping == alpha.mapping
+                assert back.is_injective() and not back.violations()
+                pairs += 1
+    assert pairs > 50
 
 
 def test_lift_identity_and_trivial():

@@ -8,6 +8,7 @@ from girale.formula import (
     BinOp,
     CONSTS,
     Const,
+    MAX_NESTING,
     NOTATIONS,
     ONE,
     OPS,
@@ -105,6 +106,33 @@ def test_size_depth_key():
     assert size(f) == 4
     assert depth(f) == 2
     assert structural_key(X) < structural_key(ONE) < structural_key(f)
+
+
+DEEP_SHAPES = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "bangs": lambda n: "!" * n + "x",
+    "negations": lambda n: "~" * n + "x",
+    "implications": lambda n: " -> ".join(["x"] * (n + 1)),
+    "products": lambda n: " * ".join(["x"] * (n + 1)),
+    "guarded-implications": lambda n: "!" * (n % 2) + "!(x -> " * (n // 2) + "x" + ")" * (n // 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_nesting_bound(shape):
+    from girale.construct import SIGNATURE_FULL, build_R
+    from girale.group import make_group
+    from girale.semantics import eval_formula, valid
+
+    algebra = build_R(make_group([2]), SIGNATURE_FULL)
+    f = parse(DEEP_SHAPES[shape](MAX_NESTING))
+    # every recursive walker survives the deepest accepted formula
+    assert parse(render(f)) == f
+    assert free_variables(f) == {"x"} and depth(f) <= MAX_NESTING
+    eval_formula(algebra, f, {"x": 0})
+    valid(algebra, f)  # the vectorized evaluator
+    with pytest.raises(ParseError, match="nest deeper"):
+        parse(DEEP_SHAPES[shape](MAX_NESTING + 1))
 
 
 names = st.sampled_from(["x", "y", "z", "u", "v2", "w'"])

@@ -45,7 +45,7 @@ def test_make_group_trivial():
 def test_make_group_klein():
     k = make_group([2, 2])
     assert k.size == 4
-    # every element is its own inverse; table laws were checked on construction
+    # every element is its own inverse; test_make_group_tables_are_groups checks the laws
     for g in range(4):
         assert k.mul(g, g) == k.identity
         assert k.inv(g) == g
@@ -155,11 +155,23 @@ def test_pushout_legs_commute_and_embed():
         for f in embeddings(a, b)[:2]:
             for g in embeddings(a, c)[:2]:
                 po = pushout(f, g)
-                assert po.into_left.is_injective() and po.into_right.is_injective()
+                for leg in (po.into_left, po.into_right):
+                    assert leg.is_injective() and not leg.violations()
                 for x in range(a.size):
                     assert po.into_left(f(x)) == po.into_right(g(x))
+                checked = group_from_table(po.group.table, po.group.element_names)
+                assert checked == po.group
+                assert checked.invariant_factors == po.group.invariant_factors
                 spans += 1
     assert spans > 40
+
+
+def test_make_group_tables_are_groups():
+    for chain in abelian_group_catalog(64):
+        group = make_group(chain or [1])
+        checked = group_from_table(group.table, group.element_names)
+        assert checked == group  # same table, identity, inverses and names
+        assert checked.invariant_factors == group.invariant_factors
 
 
 def test_pushout_preserves_sigma():
