@@ -1,17 +1,20 @@
-"""Finite algebra kernel: tables, law checkers, residuals, cones, congruences, homs.
+"""Finite algebra kernel: tables, law checks, residuals, cones, congruences, homs.
 
 An algebra lives on indices 0..n-1 with binary tables for meet, join,
 fusion, and implication, the unit constant, and optional extras (the
 pointed constant, bounds, and the unary guard).  Law checking is separate
 from construction so that deliberately broken tables can be built and
-reported on.
+reported on.  The laws form one table, ``LAWS``, of numpy masks over
+witness tuples; loops run only to build an error once an array shows one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .capacity import guard
 
@@ -20,12 +23,13 @@ Table = tuple[tuple[int, ...], ...]
 OPTIONAL_SYMBOLS = ("0", "bot", "top", "bang")
 CLASS_TAGS = ("crl", "prl", "bounded_prl", "a_algebra", "girale")
 
-_TAG_REQUIRES = {
-    "crl": frozenset(),
-    "prl": frozenset({"0"}),
-    "bounded_prl": frozenset({"0", "bot", "top"}),
-    "a_algebra": frozenset({"0", "bot", "top"}),
-    "girale": frozenset({"0", "bot", "top", "bang"}),
+# tag -> (symbols the class needs, groups of LAWS it checks)
+_TAGS = {
+    "crl": (frozenset(), {"core"}),
+    "prl": (frozenset({"0"}), {"core"}),
+    "bounded_prl": (frozenset({"0", "bot", "top"}), {"core", "bounds"}),
+    "a_algebra": (frozenset({"0", "bot", "top"}), {"core", "bounds", "negation"}),
+    "girale": (frozenset({"0", "bot", "top", "bang"}), {"core", "bounds", "negation", "bang"}),
 }
 
 
@@ -122,149 +126,147 @@ class NotResiduated(Exception):
 def residuals_from_mult(meet: Table, join: Table, mult: Table) -> Table:
     """Implication table with entry (a,c) the largest b such that a*b <= c.
 
-    Raises NotResiduated listing the maximal candidates when no largest
-    element exists (the fusion is not residuated against this order).
+    The entry is the join of the candidates b (those with a*b <= c), folded in
+    increasing b.  Raises NotResiduated at the first (a,c) where that join is
+    no candidate, listing the maximal candidates (the fusion is not
+    residuated against this order).
     """
     n = len(meet)
-
-    def leq(x: int, y: int) -> bool:
-        return meet[x][y] == x
-
-    imp_rows = []
-    for a in range(n):
-        row = []
-        for c in range(n):
-            candidates = [b for b in range(n) if leq(mult[a][b], c)]
-            if not candidates:
-                raise NotResiduated(a, c, ())
-            best = candidates[0]
-            for b in candidates[1:]:
-                best = join[best][b]
-            if best not in candidates or not leq(mult[a][best], c):
-                maximal = tuple(
-                    b
-                    for b in candidates
-                    if all(other == b or not leq(b, other) for other in candidates)
-                )
-                raise NotResiduated(a, c, maximal)
-            row.append(best)
-        imp_rows.append(tuple(row))
-    return tuple(imp_rows)
+    dtype = _index_dtype(n)
+    meet_a, join_a, mult_a = (np.array(t, dtype=dtype) for t in (meet, join, mult))
+    leq = meet_a == np.arange(n, dtype=dtype)[:, None]
+    imp = []
+    for rows in _row_blocks(n):
+        fits = leq[mult_a[rows].T]  # [b, a, c]: a*b <= c
+        best = np.zeros(fits.shape[1:], dtype=dtype)  # [a, c]
+        seen = np.zeros(best.shape, dtype=bool)
+        for b, join_b in enumerate(join_a.T):
+            take = fits[b]
+            best[take] = np.where(seen[take], join_b[best[take]], b)
+            seen |= take
+        failed = ~(seen & np.take_along_axis(fits, best[None], axis=0)[0])
+        if failed.any():
+            a, c = np.argwhere(failed)[0].tolist()
+            a += rows.start
+            found = [b for b in range(n) if meet[mult[a][b]][c] == mult[a][b]]
+            maximal = [b for b in found if all(o == b or meet[b][o] != b for o in found)]
+            raise NotResiduated(a, c, tuple(maximal))
+        imp.extend(best.tolist())
+    return tuple(tuple(row) for row in imp)
 
 
-def _lattice_violations(A: FiniteAlgebra) -> list[Violation]:
-    n = A.size
-    out = []
-    for label in ("meet", "join"):
-        t = getattr(A, label)
-        for a in range(n):
-            if t[a][a] != a:
-                out.append(Violation(f"{label}-idempotent", (a,)))
-            for b in range(a + 1, n):
-                if t[a][b] != t[b][a]:
-                    out.append(Violation(f"{label}-commutative", (a, b)))
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        out.append(Violation(f"{label}-associative", (a, b, c)))
-    for a in range(n):
-        for b in range(n):
-            if A.meet[a][A.join[a][b]] != a:
-                out.append(Violation("absorption-meet-join", (a, b)))
-            if A.join[a][A.meet[a][b]] != a:
-                out.append(Violation("absorption-join-meet", (a, b)))
-    return out
+# --- the law table -------------------------------------------------------
 
 
-def _monoid_violations(A: FiniteAlgebra) -> list[Violation]:
-    n = A.size
-    out = []
-    for a in range(n):
-        if A.mult[A.one][a] != a or A.mult[a][A.one] != a:
-            out.append(Violation("unit", (a,)))
-        for b in range(a + 1, n):
-            if A.mult[a][b] != A.mult[b][a]:
-                out.append(Violation("mult-commutative", (a, b)))
-    for a in range(n):
-        for b in range(n):
-            ab = A.mult[a][b]
-            for c in range(n):
-                if A.mult[ab][c] != A.mult[a][A.mult[b][c]]:
-                    out.append(Violation("mult-associative", (a, b, c)))
-    return out
+def _index_dtype(n: int) -> np.dtype:
+    """Smallest unsigned dtype holding the indices 0..n-1."""
+    return np.min_scalar_type(max(n - 1, 0))
 
 
-def _residuation_violations(A: FiniteAlgebra) -> list[Violation]:
-    n = A.size
-    out = []
-    for a in range(n):
-        for b in range(n):
-            ab = A.mult[a][b]
-            for c in range(n):
-                if A.leq(ab, c) != A.leq(a, A.imp[b][c]):
-                    out.append(Violation("residuation", (a, b, c)))
-    return out
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Slices of first coordinates a; each (a, b, c) block has at most 2^20 cells."""
+    step = max(1, (1 << 20) // max(n * n, 1))
+    return (slice(lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
-def _bounds_violations(A: FiniteAlgebra) -> list[Violation]:
-    out = []
-    for a in range(A.size):
-        if A.bot is not None and not A.leq(A.bot, a):
-            out.append(Violation("bot-least", (a,)))
-        if A.top is not None and not A.leq(a, A.top):
-            out.append(Violation("top-greatest", (a,)))
-    return out
+class _Tables:
+    """An algebra's operations as arrays of its index dtype, plus its order."""
+
+    def __init__(self, A: FiniteAlgebra) -> None:
+        dtype = _index_dtype(A.size)
+        self.meet, self.join, self.mult, self.imp = (
+            np.array(t, dtype=dtype) for t in (A.meet, A.join, A.mult, A.imp)
+        )
+        self.index = np.arange(A.size, dtype=dtype)
+        self.leq = self.meet == self.index[:, None]  # leq[x, y]: x <= y
+        self.upper = self.index[:, None] < self.index  # pairs a < b
+        self.one, self.bot, self.top = A.one, A.bot, A.top
+        self.bang = None if A.bang is None else np.array(A.bang, dtype=dtype)
+        self.neg = None if A.zero is None else self.imp[:, A.zero]
 
 
-def _negation_violations(A: FiniteAlgebra) -> list[Violation]:
-    assert A.zero is not None
-    n = A.size
-    out = []
-    neg = [A.imp[a][A.zero] for a in range(n)]
-    for a in range(n):
-        if A.imp[neg[a]][A.zero] != a:
-            out.append(Violation("double-negation", (a,)))
-    for a in range(n):
-        for b in range(n):
-            if A.imp[a][neg[b]] != A.imp[b][neg[a]]:
-                out.append(Violation("negation-symmetry", (a, b)))
-    return out
+class Law(NamedTuple):
+    """``mask(T, rows)`` is True at the law's violating witness tuples (one axis
+    per coordinate) whose first coordinate is in ``rows``."""
+
+    name: str
+    group: str
+    block: int  # report position: by block, then by witness, then by table order
+    mask: Callable[[_Tables, slice], np.ndarray]
+    needs: frozenset[str] = frozenset()  # the optional symbols the law mentions
 
 
-def _bang_violations(A: FiniteAlgebra) -> list[Violation]:
-    assert A.bang is not None
-    n = A.size
-    out = []
-    if A.bang[A.one] != A.one:
-        out.append(Violation("G1", (A.one,)))
-    for a in range(n):
-        if not A.leq(A.bang[a], A.meet[a][A.one]):
-            out.append(Violation("G2", (a,)))
-        if A.bang[A.bang[a]] != A.bang[a]:
-            out.append(Violation("G4", (a,)))
-        for b in range(n):
-            if A.mult[A.bang[a]][A.bang[b]] != A.bang[A.meet[a][b]]:
-                out.append(Violation("G3", (a, b)))
-    return out
+def _commutative(t: np.ndarray, T: _Tables, r: slice) -> np.ndarray:
+    return (t[r] != t.T[r]) & T.upper[r]
+
+
+def _associative(t: np.ndarray, r: slice) -> np.ndarray:
+    return t[t[r]] != t[r][:, t]  # (ab)c vs a(bc)
+
+
+def _absorbs(t: np.ndarray, s: np.ndarray, T: _Tables, r: slice) -> np.ndarray:
+    return t[T.index[r, None], s[r]] != T.index[r, None]  # a t (a s b) vs a
+
+
+def _unit(T: _Tables, r: slice) -> np.ndarray:
+    return (T.mult[T.one, r] != T.index[r]) | (T.mult[r, T.one] != T.index[r])
+
+
+def _negation_symmetry(T: _Tables, r: slice) -> np.ndarray:
+    return T.imp[r][:, T.neg] != T.imp[:, T.neg[r]].T  # a -> ~b vs b -> ~a
+
+
+_NEG = frozenset({"0", "bot", "top"})
+_BANG = frozenset({"bang"})
+
+LAWS: tuple[Law, ...] = (
+    Law("meet-idempotent", "core", 0, lambda T, r: T.meet.diagonal()[r] != T.index[r]),
+    Law("meet-commutative", "core", 0, lambda T, r: _commutative(T.meet, T, r)),
+    Law("meet-associative", "core", 1, lambda T, r: _associative(T.meet, r)),
+    Law("join-idempotent", "core", 2, lambda T, r: T.join.diagonal()[r] != T.index[r]),
+    Law("join-commutative", "core", 2, lambda T, r: _commutative(T.join, T, r)),
+    Law("join-associative", "core", 3, lambda T, r: _associative(T.join, r)),
+    Law("absorption-meet-join", "core", 4, lambda T, r: _absorbs(T.meet, T.join, T, r)),
+    Law("absorption-join-meet", "core", 4, lambda T, r: _absorbs(T.join, T.meet, T, r)),
+    Law("unit", "core", 5, _unit),
+    Law("mult-commutative", "core", 5, lambda T, r: _commutative(T.mult, T, r)),
+    Law("mult-associative", "core", 6, lambda T, r: _associative(T.mult, r)),
+    Law("residuation", "core", 7, lambda T, r: T.leq[T.mult[r]] != T.leq[r][:, T.imp]),
+    Law("bot-least", "bounds", 8, lambda T, r: ~T.leq[T.bot, r], frozenset({"bot"})),
+    Law("top-greatest", "bounds", 8, lambda T, r: ~T.leq[r, T.top], frozenset({"top"})),
+    Law("double-negation", "negation", 9, lambda T, r: T.neg[T.neg[r]] != T.index[r], _NEG),
+    Law("negation-symmetry", "negation", 10, _negation_symmetry, _NEG),
+    Law("G1", "bang", 11, lambda T, r: (T.index[r] == T.one) & (T.bang[T.one] != T.one), _BANG),
+    Law("G2", "bang", 12, lambda T, r: ~T.leq[T.bang[r], T.meet[r, T.one]], _BANG),
+    Law("G4", "bang", 12, lambda T, r: T.bang[T.bang[r]] != T.bang[r], _BANG),
+    Law("G3", "bang", 12, lambda T, r: T.mult[T.bang[r]][:, T.bang] != T.bang[T.meet[r]], _BANG),
+)
+
+
+def _scan(A: FiniteAlgebra, chosen: Callable[[Law], bool]) -> ClassReport:
+    """Evaluate the chosen laws of the table over every witness tuple."""
+    T = _Tables(A)
+    found = []
+    for rank, law in enumerate(LAWS):
+        for rows in _row_blocks(A.size) if chosen(law) else ():
+            mask = law.mask(T, rows)
+            if mask.any():
+                hits = np.argwhere(mask)
+                hits[:, 0] += rows.start
+                found.extend((law.block, tuple(w), rank) for w in hits.tolist())
+    violations = tuple(Violation(LAWS[rank].name, w) for _, w, rank in sorted(found))
+    return ClassReport(not violations, violations)
 
 
 def check_class(A: FiniteAlgebra, tag: str) -> ClassReport:
     """Report every law violation for the named class; all tuples are scanned."""
     if tag not in CLASS_TAGS:
         raise ValueError(f"Unknown class tag {tag!r}; expected one of {CLASS_TAGS}.")
-    missing = _TAG_REQUIRES[tag] - A.signature
+    needs, groups = _TAGS[tag]
+    missing = needs - A.signature
     if missing:
         raise ValueError(f"Class {tag!r} needs symbols {sorted(missing)} in the signature.")
-    violations = _lattice_violations(A) + _monoid_violations(A) + _residuation_violations(A)
-    if tag in ("bounded_prl", "a_algebra", "girale"):
-        violations += _bounds_violations(A)
-    if tag in ("a_algebra", "girale"):
-        violations += _negation_violations(A)
-    if tag == "girale":
-        violations += _bang_violations(A)
-    return ClassReport(not violations, tuple(violations))
+    return _scan(A, lambda law: law.group in groups)
 
 
 def tag_for_signature(signature: Iterable[str]) -> str:
@@ -281,14 +283,7 @@ def tag_for_signature(signature: Iterable[str]) -> str:
 
 def check_signature_laws(A: FiniteAlgebra) -> ClassReport:
     """Core residuated-lattice laws plus the laws of every optional symbol present."""
-    violations = _lattice_violations(A) + _monoid_violations(A) + _residuation_violations(A)
-    if A.bot is not None or A.top is not None:
-        violations += _bounds_violations(A)
-    if {"0", "bot", "top"} <= A.signature:
-        violations += _negation_violations(A)
-    if A.bang is not None:
-        violations += _bang_violations(A)
-    return ClassReport(not violations, tuple(violations))
+    return _scan(A, lambda law: law.needs <= A.signature)
 
 
 class ExpansionError(ValueError):

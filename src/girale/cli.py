@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or a true judgment, 1 a false judgment (countermodel
 attached), 2 usage or input errors, 3 capacity errors, 4 an internal error
-(a bug: any other exception, reported with its message).  With --json every
+(a bug: any other exception, reported with its message); a bounded search
+without an answer (exhausted, unknown) exits 0 with a note.  With --json every
 payload is a single JSON object embedding the tool version and SHA-256
 hashes of all inputs, so repeated runs are byte-identical.
 """
@@ -345,8 +346,9 @@ def _cmd_prove(args, inputs: _Inputs):
             payload["status"] = "refuted"
             payload["countermodel"] = _named_assignment(A, refutation.countermodel)
             payload["formula"] = render(translated)
-            break
-    return EXIT_FALSE, payload
+            return EXIT_FALSE, payload
+    payload["note"] = "bounded search exhausted; not a proof or a refutation"
+    return EXIT_TRUE, payload
 
 
 def _cmd_check_proof(args, inputs: _Inputs):

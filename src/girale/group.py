@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import _is_list_of
+import numpy as np
+
+from .algebra import _associative, _index_dtype, _is_list_of, _row_blocks
 from .capacity import CapacityError, guard
 
 
@@ -82,35 +84,36 @@ class FiniteGroup:
 
 
 def _validate_group(table: Sequence[Sequence[int]]) -> None:
-    """Check shape, range, identity, inverses, commutativity and associativity."""
+    """Check shape, range, identity, inverses, commutativity and associativity;
+    raise at the first failure (in that order, then lexicographically)."""
     n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError(f"Cayley row {i} has length {len(row)}, expected {n}.")
-        for x in row:
-            if not 0 <= x < n:
-                raise ValueError(f"Cayley entry {x} out of range [0,{n - 1}].")
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x == table[x][e] for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    t = np.asarray(table) if all(len(row) == n for row in table) else None
+    if t is None or not ((t >= 0) & (t < n)).all():
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise ValueError(f"Cayley row {i} has length {len(row)}, expected {n}.")
+            for x in row:
+                if not 0 <= x < n:
+                    raise ValueError(f"Cayley entry {x} out of range [0,{n - 1}].")
+    if n and t.dtype.kind not in "biu":
+        raise TypeError("Cayley entries must be integers.")
+    t = t.reshape(n, n).astype(_index_dtype(n))
+    index = np.arange(n, dtype=t.dtype)
+    is_identity = (t == index).all(axis=1) & (t == index[:, None]).all(axis=0)
+    if not is_identity.any():
         raise ValueError("No identity element.")
-    for a in range(n):
-        invs = [b for b in range(n) if table[a][b] == identity]
-        if len(invs) != 1:
-            raise ValueError(f"Element {a} has {len(invs)} inverses.")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if table[a][b] != table[b][a]:
-                raise ValueError(f"Not commutative at ({a},{b}).")
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise ValueError(f"Not associative at ({a},{b},{c}).")
+    inverses = (t == np.argmax(is_identity)).sum(axis=1)
+    if (inverses != 1).any():
+        a = int(np.argmax(inverses != 1))
+        raise ValueError(f"Element {a} has {inverses[a]} inverses.")
+    unequal = np.triu(t != t.T, 1)
+    if unequal.any():
+        raise ValueError("Not commutative at ({},{}).".format(*np.argwhere(unequal)[0].tolist()))
+    for rows in _row_blocks(n):
+        unequal = _associative(t, rows)
+        if unequal.any():
+            a, b, c = np.argwhere(unequal)[0].tolist()
+            raise ValueError(f"Not associative at ({rows.start + a},{b},{c}).")
 
 
 def _trusted_group(table: Sequence[Sequence[int]], names: Sequence[str]) -> FiniteGroup:

@@ -93,8 +93,8 @@ def _grid(A: FiniteAlgebra, variables: Sequence[str]) -> tuple[dict, int]:
     return coords, count
 
 
-def _eval_vec(A: FiniteAlgebra, f: Formula, coords: dict, count: int) -> np.ndarray:
-    tables = _np_tables(A)
+def _eval_vec(A: FiniteAlgebra, tables: dict, f: Formula, coords: dict, count: int) -> np.ndarray:
+    # tables is _np_tables(A), fetched once per algebra by the caller
     if isinstance(f, Var):
         return coords[f.name]
     if isinstance(f, Const):
@@ -103,9 +103,9 @@ def _eval_vec(A: FiniteAlgebra, f: Formula, coords: dict, count: int) -> np.ndar
         bang = tables["bang"]
         if bang is None:
             raise ValueError("Guard connective is not in the algebra signature.")
-        return bang[_eval_vec(A, f.child, coords, count)]
-    left = _eval_vec(A, f.left, coords, count)
-    right = _eval_vec(A, f.right, coords, count)
+        return bang[_eval_vec(A, tables, f.child, coords, count)]
+    left = _eval_vec(A, tables, f.left, coords, count)
+    right = _eval_vec(A, tables, f.right, coords, count)
     return tables[f.op][left, right]
 
 
@@ -158,16 +158,17 @@ def consequence(
     for index, A in enumerate(algebras):
         coords, count = _grid(A, variables)
         one = A.one
-        meet = _np_tables(A)["and"]
+        tables = _np_tables(A)
+        meet = tables["and"]
         mask = np.ones(count, dtype=bool)
         for p in premises:
-            vec = _eval_vec(A, p, coords, count)
+            vec = _eval_vec(A, tables, p, coords, count)
             mask &= meet[vec, one] == one
             if not mask.any():
                 break
         if not mask.any():
             continue
-        vec = _eval_vec(A, conclusion, coords, count)
+        vec = _eval_vec(A, tables, conclusion, coords, count)
         bad = mask & (meet[vec, one] != one)
         if bad.any():
             flat = int(np.nonzero(bad)[0][0])
@@ -365,11 +366,10 @@ def interpolant_search(
                 return None
         return tuple(items)
 
+    grids = [(A, _np_tables(A), *_grid(A, shared)) for A in algebras]
+
     def vector_key(delta: Formula) -> bytes:
-        chunks = []
-        for A in algebras:
-            coords, count = _grid(A, shared)
-            chunks.append(_eval_vec(A, delta, coords, count).tobytes())
+        chunks = [_eval_vec(A, t, delta, coords, count).tobytes() for A, t, coords, count in grids]
         return b"|".join(chunks)
 
     seen: set[bytes] = set()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,32 @@ def test_prove_command(capsys):
     assert code == 1
     assert doc["result"]["status"] == "refuted"
     assert doc["result"]["countermodel"] == {"x": "a"}
+
+
+def test_prove_unknown_is_not_a_false_judgment(capsys):
+    # provable, but not within bound 1, and no countermodel exists
+    code, doc = invoke_json(capsys, ["prove", "--sequent", "x, x -> y => y * 1", "--bound", "1"])
+    assert code == 0
+    assert doc["result"] == {
+        "status": "unknown",
+        "bound": 1,
+        "note": "bounded search exhausted; not a proof or a refutation",
+    }
+
+
+@pytest.mark.parametrize(
+    "algebra, tag",
+    [("broken_signature", "auto"), ("broken_girale", "girale")],
+)
+def test_check_class_output_pinned(capsys, monkeypatch, algebra, tag):
+    """Byte-identical --json for broken algebras, up to the 50 violations reported."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data)
+    code, out = invoke(
+        capsys, ["check-class", "--algebra", f"{algebra}.json", "--tag", tag, "--json"]
+    )
+    assert code == 1
+    assert out == (data / f"{algebra}.check-class-{tag}.json").read_text()
 
 
 def test_interpolate_command(tmp_path, capsys):
