@@ -551,11 +551,116 @@ def factor_partitions(nA: int, nB: int) -> tuple[Partition, Partition]:
     return _canonical(left), _canonical(right)
 
 
-@dataclass(frozen=True)
-class AlgHom:
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    mapping: tuple[int, ...]
+# --- homomorphisms ---------------------------------------------------------
+
+
+class _Ops(NamedTuple):
+    """What a hom between two structures preserves, as (name, source, target)
+    constants, binary tables and unary tables, in report order."""
+
+    constants: tuple[tuple[str, int, int], ...]
+    binary: tuple[tuple[str, Table, Table], ...]
+    unary: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = ()
+
+
+def _alg_ops(A: FiniteAlgebra, B: FiniteAlgebra) -> _Ops:
+    """The operations and constants of the signature two algebras share."""
+    constants = (
+        ("one", A.one, B.one),
+        ("zero", A.zero, B.zero),
+        ("bot", A.bot, B.bot),
+        ("top", A.top, B.top),
+    )
+    return _Ops(
+        tuple(c for c in constants if c[1] is not None and c[2] is not None),
+        (
+            ("meet", A.meet, B.meet),
+            ("join", A.join, B.join),
+            ("mult", A.mult, B.mult),
+            ("imp", A.imp, B.imp),
+        ),
+        (("bang", A.bang, B.bang),) if A.bang is not None and B.bang is not None else (),
+    )
+
+
+def _preservation_violations(h: Sequence[int], ops: _Ops) -> list[Violation]:
+    """Each witness at which the map h fails to commute with an operation."""
+    out = [Violation(f"hom-{name}", (a,)) for name, a, b in ops.constants if h[a] != b]
+    for name, s, t in ops.binary:
+        for x, row in enumerate(s):
+            image = t[h[x]]
+            for y, c in enumerate(row):
+                if h[c] != image[h[y]]:
+                    out.append(Violation(f"hom-{name}", (x, y)))
+    for name, s, t in ops.unary:
+        out.extend(Violation(f"hom-{name}", (x,)) for x, c in enumerate(s) if h[c] != t[h[x]])
+    return out
+
+
+def _search_homs(
+    ops: _Ops, allowed: Sequence[Sequence[int]], injective_only: bool
+) -> list[tuple[int, ...]]:
+    """Every map preserving ops whose free choices come from ``allowed[x]``.
+
+    The constants seed the map.  Closure under the operations forces what it
+    can, then the search branches on the first unassigned index, trying its
+    allowed images in order.  The closure visits each pair of assigned
+    indices when the later of the two is assigned, and its fixpoint does not
+    depend on the order it is reached in; so a complete map has been
+    compared on every pair and is a hom without another check.
+    """
+    n = len(allowed)
+    seed = [-1] * n
+    for _, a, b in ops.constants:
+        if seed[a] not in (-1, b):
+            return []  # two constants at one source element, apart in the target
+        seed[a] = b
+    results: list[tuple[int, ...]] = []
+
+    def close(mapping: list[int], new: list[int]) -> bool:
+        """Assign every forced image; False on a conflict.  The pairs among
+        the indices assigned before ``new`` must already be closed."""
+        done = [x for x in range(n) if mapping[x] >= 0 and x not in new]
+        while new:
+            done += new
+            forced = [(s[x], t[mapping[x]]) for _, s, t in ops.unary for x in new]
+            for _, s, t in ops.binary:
+                for x in new:
+                    row, col, image = s[x], [r[x] for r in s], t[mapping[x]]
+                    forced += [(row[y], image[mapping[y]]) for y in done]
+                    forced += [(col[y], t[mapping[y]][mapping[x]]) for y in done]
+            new = []
+            for c, v in forced:
+                if mapping[c] < 0:
+                    mapping[c] = v
+                    new.append(c)
+                elif mapping[c] != v:
+                    return False
+        return True
+
+    def search(mapping: list[int], new: list[int]) -> None:
+        if not close(mapping, new):
+            return
+        assigned = [v for v in mapping if v >= 0]
+        if injective_only and len(set(assigned)) != len(assigned):
+            return
+        if len(assigned) == n:
+            results.append(tuple(mapping))
+            return
+        x = mapping.index(-1)
+        for v in allowed[x]:
+            if not (injective_only and v in mapping):
+                child = list(mapping)
+                child[x] = v
+                search(child, [x])
+
+    search(seed, sorted({a for _, a, _ in ops.constants}))
+    return results
+
+
+class _Hom:
+    """A map between the carriers of two finite structures, given by index;
+    its dataclass holds ``source``, ``target`` and ``mapping``."""
 
     def __post_init__(self) -> None:
         if len(self.mapping) != self.source.size:
@@ -567,30 +672,6 @@ class AlgHom:
     def __call__(self, a: int) -> int:
         return self.mapping[a]
 
-    def violations(self) -> list[Violation]:
-        """Failures to preserve the operations and constants of the common signature."""
-        A, B, h = self.source, self.target, self.mapping
-        out = []
-        if h[A.one] != B.one:
-            out.append(Violation("hom-one", (A.one,)))
-        for label in ("zero", "bot", "top"):
-            a = getattr(A, label)
-            b = getattr(B, label)
-            if a is not None and b is not None and h[a] != b:
-                out.append(Violation(f"hom-{label}", (a,)))
-        for label in ("meet", "join", "mult", "imp"):
-            tA = getattr(A, label)
-            tB = getattr(B, label)
-            for x in range(A.size):
-                for y in range(A.size):
-                    if h[tA[x][y]] != tB[h[x]][h[y]]:
-                        out.append(Violation(f"hom-{label}", (x, y)))
-        if A.bang is not None and B.bang is not None:
-            for x in range(A.size):
-                if h[A.bang[x]] != B.bang[h[x]]:
-                    out.append(Violation("hom-bang", (x,)))
-        return out
-
     def is_valid(self) -> bool:
         return not self.violations()
 
@@ -598,13 +679,24 @@ class AlgHom:
         return len(set(self.mapping)) == len(self.mapping)
 
 
+@dataclass(frozen=True)
+class AlgHom(_Hom):
+    source: FiniteAlgebra
+    target: FiniteAlgebra
+    mapping: tuple[int, ...]
+
+    def violations(self) -> list[Violation]:
+        """Failures to preserve the operations and constants of the common signature."""
+        return _preservation_violations(self.mapping, _alg_ops(self.source, self.target))
+
+
 def identity_alg_hom(A: FiniteAlgebra) -> AlgHom:
     return AlgHom(A, A, tuple(range(A.size)))
 
 
 def compose_alg_homs(second: AlgHom, first: AlgHom) -> AlgHom:
-    if first.target.size != second.source.size:
-        raise ValueError("Homs do not compose: size mismatch.")
+    if first.target != second.source:
+        raise ValueError("Homs do not compose: the first target is not the second source.")
     return AlgHom(
         first.source, second.target, tuple(second.mapping[v] for v in first.mapping)
     )
@@ -620,72 +712,9 @@ def enumerate_homs(
     guard(source.size, "hom enumeration", max_size)
     if source.signature != target.signature:
         raise ValueError("Hom enumeration needs matching signatures.")
-    n, m = source.size, target.size
-    src_tables = _binary_tables(source)
-    tgt_tables = _binary_tables(target)
-    results: list[AlgHom] = []
-
-    def close(mapping: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for x in range(n):
-                if mapping[x] < 0:
-                    continue
-                if source.bang is not None:
-                    bx = source.bang[x]
-                    v = target.bang[mapping[x]]  # type: ignore[index]
-                    if mapping[bx] < 0:
-                        mapping[bx] = v
-                        changed = True
-                    elif mapping[bx] != v:
-                        return False
-                for y in range(n):
-                    if mapping[y] < 0:
-                        continue
-                    for ts, tt in zip(src_tables, tgt_tables):
-                        c = ts[x][y]
-                        v = tt[mapping[x]][mapping[y]]
-                        if mapping[c] < 0:
-                            mapping[c] = v
-                            changed = True
-                        elif mapping[c] != v:
-                            return False
-        return True
-
-    def injective_ok(mapping: list[int]) -> bool:
-        assigned = [v for v in mapping if v >= 0]
-        return len(set(assigned)) == len(assigned)
-
-    def search(mapping: list[int]) -> None:
-        work = list(mapping)
-        if not close(work):
-            return
-        if injective_only and not injective_ok(work):
-            return
-        try:
-            x = work.index(-1)
-        except ValueError:
-            hom = AlgHom(source, target, tuple(work))
-            if not hom.violations():
-                results.append(hom)
-            return
-        for v in range(m):
-            if injective_only and v in work:
-                continue
-            child = list(work)
-            child[x] = v
-            search(child)
-
-    seed = [-1] * n
-    seed[source.one] = target.one
-    for label in ("zero", "bot", "top"):
-        a = getattr(source, label)
-        b = getattr(target, label)
-        if a is not None:
-            seed[a] = b
-    search(seed)
-    return results
+    allowed = [range(target.size)] * source.size
+    maps = _search_homs(_alg_ops(source, target), allowed, injective_only)
+    return [AlgHom(source, target, h) for h in maps]
 
 
 def trivial_algebra(signature: Iterable[str] = ()) -> FiniteAlgebra:

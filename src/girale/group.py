@@ -13,7 +13,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _associative, _index_dtype, _is_list_of, _row_blocks
+from .algebra import (
+    Violation,
+    _Hom,
+    _Ops,
+    _associative,
+    _index_dtype,
+    _is_list_of,
+    _preservation_violations,
+    _row_blocks,
+    _search_homs,
+)
 from .capacity import CapacityError, guard
 
 
@@ -274,38 +284,21 @@ def check_sigma(group: FiniteGroup, primes: PrimeSet) -> SigmaResult:
 
 
 @dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Hom):
     source: FiniteGroup
     target: FiniteGroup
     mapping: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.mapping) != self.source.size:
-            raise ValueError("Mapping length does not match source size.")
-        for v in self.mapping:
-            if not 0 <= v < self.target.size:
-                raise ValueError(f"Mapping value {v} out of target range.")
+    def violations(self) -> list[Violation]:
+        """Failures to preserve the identity (``hom-identity``) or the product (``hom-mult``)."""
+        return _preservation_violations(self.mapping, _group_ops(self.source, self.target))
 
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
 
-    def violations(self) -> list[str]:
-        out = []
-        if self.mapping[self.source.identity] != self.target.identity:
-            out.append("identity not preserved")
-        for a in range(self.source.size):
-            for b in range(self.source.size):
-                if self.mapping[self.source.mul(a, b)] != self.target.mul(
-                    self.mapping[a], self.mapping[b]
-                ):
-                    out.append(f"product not preserved at ({a},{b})")
-        return out
-
-    def is_valid(self) -> bool:
-        return not self.violations()
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
+def _group_ops(source: FiniteGroup, target: FiniteGroup) -> _Ops:
+    return _Ops(
+        (("identity", source.identity, target.identity),),
+        (("mult", source.table, target.table),),
+    )
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
@@ -441,61 +434,20 @@ def pushout(f: GroupHom, g: GroupHom, max_size: int | None = None) -> Pushout:
 def group_homs(
     source: FiniteGroup, target: FiniteGroup, injective_only: bool = False
 ) -> list[GroupHom]:
-    """All homomorphisms source -> target, by backtracking with product closure."""
-    n, m = source.size, target.size
-    orders_src = [order_of(source, a) for a in range(n)]
-    orders_tgt = [order_of(target, b) for b in range(m)]
-    results: list[GroupHom] = []
+    """All homomorphisms source -> target, by backtracking with product closure.
 
-    def close(mapping: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                if mapping[a] < 0:
-                    continue
-                for b in range(n):
-                    if mapping[b] < 0:
-                        continue
-                    c = source.mul(a, b)
-                    v = target.mul(mapping[a], mapping[b])
-                    if mapping[c] < 0:
-                        mapping[c] = v
-                        changed = True
-                    elif mapping[c] != v:
-                        return False
-        return True
-
-    def search(mapping: list[int]) -> None:
-        work = list(mapping)
-        if not close(work):
-            return
-        if injective_only:
-            assigned = [v for v in work if v >= 0]
-            if len(set(assigned)) != len(assigned):
-                return
-        try:
-            x = work.index(-1)
-        except ValueError:
-            hom = GroupHom(source, target, tuple(work))
-            if not hom.violations():
-                results.append(hom)
-            return
-        for v in range(m):
-            if injective_only and v in work:
-                continue
-            if orders_tgt[v] > orders_src[x] or orders_src[x] % orders_tgt[v]:
-                continue
-            if injective_only and orders_tgt[v] != orders_src[x]:
-                continue
-            child = list(work)
-            child[x] = v
-            search(child)
-
-    seed = [-1] * n
-    seed[source.identity] = target.identity
-    search(seed)
-    return results
+    A free choice for a sends it to an element whose order divides a's, or,
+    for embeddings, equals it.
+    """
+    orders_tgt = [order_of(target, b) for b in range(target.size)]
+    allowed = []
+    for a in range(source.size):
+        k = order_of(source, a)
+        allowed.append(
+            [v for v, d in enumerate(orders_tgt) if (d == k if injective_only else k % d == 0)]
+        )
+    maps = _search_homs(_group_ops(source, target), allowed, injective_only)
+    return [GroupHom(source, target, h) for h in maps]
 
 
 def abelian_group_catalog(max_order: int) -> list[tuple[int, ...]]:

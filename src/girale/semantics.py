@@ -35,6 +35,33 @@ MAX_GRID = 4_000_000
 MODES = ("deductive", "craig", "guarded")
 
 
+# reading -> (the judgment a => b as (premises, conclusion), then the
+# certificate descriptions of phi => delta and delta => psi).  The entailment
+# pre-check is phi => psi, and the scalar recheck re-decides the same two.
+_READINGS = {
+    "deductive": (
+        lambda a, b: ((a,), b),
+        "premise entails interpolant",
+        "interpolant entails conclusion",
+    ),
+    "craig": (
+        lambda a, b: ((), BinOp("imp", a, b)),
+        "left implication valid",
+        "right implication valid",
+    ),
+    "guarded": (
+        lambda a, b: ((), BinOp("imp", Bang(a), Bang(b))),
+        "left guarded valid",
+        "right guarded valid",
+    ),
+    "half-guarded": (
+        lambda a, b: ((), BinOp("imp", Bang(a), b)),
+        "left half-guarded valid",
+        "right half-guarded valid",
+    ),
+}
+
+
 def _constant_index(A: FiniteAlgebra, symbol: str) -> int:
     if symbol == "1":
         return A.one
@@ -299,21 +326,9 @@ def interpolant_search(
     if mode == "guarded" and "bang" not in signature:
         raise ValueError("Guarded mode needs the guard in the signature.")
 
-    def imp(a: Formula, b: Formula) -> Formula:
-        return BinOp("imp", a, b)
-
-    if mode == "deductive":
-        entailment = consequence(algebras, [phi], psi)
-        entail_desc = "premise entails conclusion"
-    elif mode == "craig":
-        entailment = consequence(algebras, [], imp(phi, psi))
-        entail_desc = "implication is valid"
-    elif mixed_guard:
-        entailment = consequence(algebras, [], imp(Bang(phi), psi))
-        entail_desc = "half-guarded implication is valid"
-    else:
-        entailment = consequence(algebras, [], imp(Bang(phi), Bang(psi)))
-        entail_desc = "guarded implication is valid"
+    reading = "half-guarded" if mode == "guarded" and mixed_guard else mode
+    entails, left_judgment, right_judgment = _READINGS[reading]
+    entailment = consequence(algebras, *entails(phi, psi))
     if not entailment.holds:
         return InterpolationResult(
             status="refused",
@@ -324,43 +339,11 @@ def interpolant_search(
 
     shared = sorted(free_variables(phi) & free_variables(psi))
 
-    def judgments(delta: Formula) -> tuple[tuple[str, ConsequenceResult], ...]:
-        if mode == "deductive":
-            return (
-                ("premise entails interpolant", consequence(algebras, [phi], delta)),
-                ("interpolant entails conclusion", consequence(algebras, [delta], psi)),
-            )
-        if mode == "craig":
-            return (
-                ("left implication valid", consequence(algebras, [], imp(phi, delta))),
-                ("right implication valid", consequence(algebras, [], imp(delta, psi))),
-            )
-        if mixed_guard:
-            return (
-                ("left half-guarded valid", consequence(algebras, [], imp(Bang(phi), delta))),
-                ("right half-guarded valid", consequence(algebras, [], imp(Bang(delta), psi))),
-            )
-        return (
-            ("left guarded valid", consequence(algebras, [], imp(Bang(phi), Bang(delta)))),
-            ("right guarded valid", consequence(algebras, [], imp(Bang(delta), Bang(psi)))),
-        )
-
-    def recheck(delta: Formula) -> tuple[Judgment, ...] | None:
+    def recheck(sides: tuple[tuple[str, Formula, Formula], ...]) -> tuple[Judgment, ...] | None:
         """Independent scalar verification; certificate of the two judgments."""
         items = []
-        for description, fast in judgments(delta):
-            if not fast.holds:
-                return None
-            if mode == "deductive":
-                left_side = description.startswith("premise")
-                slow = consequence_slow(
-                    algebras, [phi] if left_side else [delta], delta if left_side else psi
-                )
-            else:
-                rebuilt = _rebuild_certificate_formula(
-                    mode, mixed_guard, phi, psi, delta, description
-                )
-                slow = consequence_slow(algebras, [], rebuilt)
+        for description, a, b in sides:
+            slow = consequence_slow(algebras, *entails(a, b))
             items.append(Judgment(description, slow.holds))
             if not slow.holds:
                 return None
@@ -387,9 +370,9 @@ def interpolant_search(
             sum(1 for _ in _iter_nodes(delta)), []
         ).append(delta)
         tried += 1
-        checks = judgments(delta)
-        if all(result.holds for _, result in checks):
-            certificate = recheck(delta)
+        sides = ((left_judgment, phi, delta), (right_judgment, delta, psi))
+        if all(consequence(algebras, *entails(a, b)).holds for _, a, b in sides):
+            certificate = recheck(sides)
             if certificate is not None:
                 return InterpolationResult(
                     status="found",
@@ -440,27 +423,3 @@ def _iter_nodes(f: Formula):
     elif isinstance(f, BinOp):
         yield from _iter_nodes(f.left)
         yield from _iter_nodes(f.right)
-
-
-def _rebuild_certificate_formula(
-    mode: str,
-    mixed_guard: bool,
-    phi: Formula,
-    psi: Formula,
-    delta: Formula,
-    description: str,
-) -> Formula:
-    left_side = description.startswith("left")
-    if mode == "craig":
-        return BinOp("imp", phi, delta) if left_side else BinOp("imp", delta, psi)
-    if mixed_guard:
-        return (
-            BinOp("imp", Bang(phi), delta)
-            if left_side
-            else BinOp("imp", Bang(delta), psi)
-        )
-    return (
-        BinOp("imp", Bang(phi), Bang(delta))
-        if left_side
-        else BinOp("imp", Bang(delta), Bang(psi))
-    )

@@ -5,14 +5,27 @@ in the report order of ``girale.algebra``: each law's witnesses in
 lexicographic order, and where a loop tests two laws per witness, both are
 reported at that witness.  The tests require the kernel to equal them
 exactly: the same violations in the same order, the same ``NotResiduated``
-arguments and the same first group-table error.
+arguments and the same first group-table error.  The hom searches and
+preservation loops at the end are the two separate engines for algebras and
+groups: the shared engine must list the same maps in the same order and
+report the same violations.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from girale.algebra import ClassReport, FiniteAlgebra, NotResiduated, Table, Violation
+from girale.algebra import (
+    AlgHom,
+    ClassReport,
+    FiniteAlgebra,
+    NotResiduated,
+    Table,
+    Violation,
+    _binary_tables,
+)
+from girale.capacity import guard
+from girale.group import FiniteGroup, GroupHom, order_of
 
 
 def residuals_from_mult(meet: Table, join: Table, mult: Table) -> Table:
@@ -193,3 +206,183 @@ def validate_group(table: Sequence[Sequence[int]]) -> None:
             for c in range(n):
                 if table[ab][c] != table[a][table[b][c]]:
                     raise ValueError(f"Not associative at ({a},{b},{c}).")
+
+
+# --- homomorphisms: the two searches and preservation loops the shared hom
+# engine of girale.algebra replaced, each leaf re-checked by these loops
+
+
+def alg_hom_violations(hom: AlgHom) -> list[Violation]:
+    """Failures to preserve the operations and constants of the common signature."""
+    A, B, h = hom.source, hom.target, hom.mapping
+    out = []
+    if h[A.one] != B.one:
+        out.append(Violation("hom-one", (A.one,)))
+    for label in ("zero", "bot", "top"):
+        a = getattr(A, label)
+        b = getattr(B, label)
+        if a is not None and b is not None and h[a] != b:
+            out.append(Violation(f"hom-{label}", (a,)))
+    for label in ("meet", "join", "mult", "imp"):
+        tA = getattr(A, label)
+        tB = getattr(B, label)
+        for x in range(A.size):
+            for y in range(A.size):
+                if h[tA[x][y]] != tB[h[x]][h[y]]:
+                    out.append(Violation(f"hom-{label}", (x, y)))
+    if A.bang is not None and B.bang is not None:
+        for x in range(A.size):
+            if h[A.bang[x]] != B.bang[h[x]]:
+                out.append(Violation("hom-bang", (x,)))
+    return out
+
+
+def group_hom_violations(hom: GroupHom) -> list[str]:
+    out = []
+    if hom.mapping[hom.source.identity] != hom.target.identity:
+        out.append("identity not preserved")
+    for a in range(hom.source.size):
+        for b in range(hom.source.size):
+            if hom.mapping[hom.source.mul(a, b)] != hom.target.mul(
+                hom.mapping[a], hom.mapping[b]
+            ):
+                out.append(f"product not preserved at ({a},{b})")
+    return out
+
+
+def enumerate_homs(
+    source: FiniteAlgebra,
+    target: FiniteAlgebra,
+    injective_only: bool = False,
+    max_size: int = 16,
+) -> list[AlgHom]:
+    """Every map preserving all operations and constants, by guided backtracking."""
+    guard(source.size, "hom enumeration", max_size)
+    if source.signature != target.signature:
+        raise ValueError("Hom enumeration needs matching signatures.")
+    n, m = source.size, target.size
+    src_tables = _binary_tables(source)
+    tgt_tables = _binary_tables(target)
+    results: list[AlgHom] = []
+
+    def close(mapping: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for x in range(n):
+                if mapping[x] < 0:
+                    continue
+                if source.bang is not None:
+                    bx = source.bang[x]
+                    v = target.bang[mapping[x]]  # type: ignore[index]
+                    if mapping[bx] < 0:
+                        mapping[bx] = v
+                        changed = True
+                    elif mapping[bx] != v:
+                        return False
+                for y in range(n):
+                    if mapping[y] < 0:
+                        continue
+                    for ts, tt in zip(src_tables, tgt_tables):
+                        c = ts[x][y]
+                        v = tt[mapping[x]][mapping[y]]
+                        if mapping[c] < 0:
+                            mapping[c] = v
+                            changed = True
+                        elif mapping[c] != v:
+                            return False
+        return True
+
+    def injective_ok(mapping: list[int]) -> bool:
+        assigned = [v for v in mapping if v >= 0]
+        return len(set(assigned)) == len(assigned)
+
+    def search(mapping: list[int]) -> None:
+        work = list(mapping)
+        if not close(work):
+            return
+        if injective_only and not injective_ok(work):
+            return
+        try:
+            x = work.index(-1)
+        except ValueError:
+            hom = AlgHom(source, target, tuple(work))
+            if not alg_hom_violations(hom):
+                results.append(hom)
+            return
+        for v in range(m):
+            if injective_only and v in work:
+                continue
+            child = list(work)
+            child[x] = v
+            search(child)
+
+    seed = [-1] * n
+    seed[source.one] = target.one
+    for label in ("zero", "bot", "top"):
+        a = getattr(source, label)
+        b = getattr(target, label)
+        if a is not None:
+            seed[a] = b
+    search(seed)
+    return results
+
+
+def group_homs(
+    source: FiniteGroup, target: FiniteGroup, injective_only: bool = False
+) -> list[GroupHom]:
+    """All homomorphisms source -> target, by backtracking with product closure."""
+    n, m = source.size, target.size
+    orders_src = [order_of(source, a) for a in range(n)]
+    orders_tgt = [order_of(target, b) for b in range(m)]
+    results: list[GroupHom] = []
+
+    def close(mapping: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for a in range(n):
+                if mapping[a] < 0:
+                    continue
+                for b in range(n):
+                    if mapping[b] < 0:
+                        continue
+                    c = source.mul(a, b)
+                    v = target.mul(mapping[a], mapping[b])
+                    if mapping[c] < 0:
+                        mapping[c] = v
+                        changed = True
+                    elif mapping[c] != v:
+                        return False
+        return True
+
+    def search(mapping: list[int]) -> None:
+        work = list(mapping)
+        if not close(work):
+            return
+        if injective_only:
+            assigned = [v for v in work if v >= 0]
+            if len(set(assigned)) != len(assigned):
+                return
+        try:
+            x = work.index(-1)
+        except ValueError:
+            hom = GroupHom(source, target, tuple(work))
+            if not group_hom_violations(hom):
+                results.append(hom)
+            return
+        for v in range(m):
+            if injective_only and v in work:
+                continue
+            if orders_tgt[v] > orders_src[x] or orders_src[x] % orders_tgt[v]:
+                continue
+            if injective_only and orders_tgt[v] != orders_src[x]:
+                continue
+            child = list(work)
+            child[x] = v
+            search(child)
+
+    seed = [-1] * n
+    seed[source.identity] = target.identity
+    search(seed)
+    return results

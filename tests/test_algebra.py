@@ -232,6 +232,14 @@ def test_hom_composition_closed():
     assert identity_alg_hom(algebra).mapping in mappings
 
 
+def test_hom_composition_needs_matching_ends():
+    # R(Z4) and R(Z2 x Z2) have the same size, but their tables differ
+    first = identity_alg_hom(R(make_group([4])))
+    second = identity_alg_hom(R(make_group([2, 2])))
+    with pytest.raises(ValueError, match="do not compose"):
+        compose_alg_homs(second, first)
+
+
 def test_residuation_corollaries():
     for group in (Z2, Z3):
         algebra = R(group)

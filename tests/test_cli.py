@@ -148,6 +148,40 @@ def test_check_class_output_pinned(capsys, monkeypatch, algebra, tag):
     assert out == (data / f"{algebra}.check-class-{tag}.json").read_text()
 
 
+_HOMS = {
+    "homs-z2-z4-zero": ["--source", "r_z2_zero.json", "--target", "r_z4_zero.json"],
+    "homs-z2-z2z2-full": ["--source", "r_z2_full.json", "--target", "r_z2z2_full.json"],
+}
+_INTERPOLATE = [
+    "--algebras", "r_z3_full.json,r_z2z2_full.json",
+    "--premise", "(x * y) /\\ u", "--conclusion", "(x * y) \\/ v", "--depth", "2",
+]
+PINNED = {
+    **{name: ["homs", *argv] for name, argv in _HOMS.items()},
+    **{f"{name}-injective": ["homs", *argv, "--injective"] for name, argv in _HOMS.items()},
+    **{
+        f"interpolate-{mode}": ["interpolate", *_INTERPOLATE, "--mode", mode]
+        for mode in ("deductive", "craig", "guarded")
+    },
+    "interpolate-mixed-guard": ["interpolate", *_INTERPOLATE, "--mode", "guarded", "--mixed-guard"],
+    "interpolate-refused": [
+        "interpolate", "--algebras", "r_z3_full.json,r_z2z2_full.json",
+        "--premise", "!(x -> y) * x /\\ u", "--conclusion", "!y \\/ v", "--mode", "craig",
+        "--depth", "3",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_homs_and_interpolate_output_pinned(capsys, monkeypatch, name):
+    """Byte-identical --json for hom enumeration and every interpolation reading."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data)
+    code, out = invoke(capsys, PINNED[name] + ["--json"])
+    assert code == (1 if name == "interpolate-refused" else 0)
+    assert out == (data / f"{name}.json").read_text()
+
+
 def test_interpolate_command(tmp_path, capsys):
     algebra = tmp_path / "g.json"
     invoke(capsys, ["build", "--group", "3", "--sig", "full", "--out", str(algebra)])

@@ -1,9 +1,10 @@
-"""The vectorized table kernel against its scalar reference (tests/reference_kernel.py).
+"""The vectorized table kernel and the shared hom engine against their scalar
+reference (tests/reference_kernel.py).
 
 Algebras are the expansions of the abelian groups of order <= 8 in four
 signatures, plus the one-element algebras, with up to three mutated table
-entries, constants or guard values.  Reports, residual tables and errors
-must be equal exactly, violation order included.
+entries, constants or guard values.  Reports, residual tables, errors, hom
+lists and hom violations must be equal exactly, order included.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from girale.algebra import (
     CLASS_TAGS,
+    AlgHom,
     FiniteAlgebra,
     NotResiduated,
     Violation,
@@ -22,11 +24,12 @@ from girale.algebra import (
     _index_dtype,
     check_class,
     check_signature_laws,
+    enumerate_homs,
     residuals_from_mult,
     trivial_algebra,
 )
 from girale.construct import SIGNATURE_FULL, build_R
-from girale.group import _validate_group, abelian_group_catalog, make_group
+from girale.group import GroupHom, _validate_group, abelian_group_catalog, group_homs, make_group
 
 from tests import reference_kernel as ref
 
@@ -37,7 +40,8 @@ CATALOG = [trivial_algebra(sig) for sig in SIGNATURES] + [
     for sig in SIGNATURES
 ]
 MUTABLE = ("meet", "join", "mult", "imp", "one", "bang", "zero", "bot", "top")
-GROUP_TABLES = [make_group(chain or [1]).table for chain in abelian_group_catalog(8)]
+GROUPS = [make_group(chain or [1]) for chain in abelian_group_catalog(8)]
+GROUP_TABLES = [group.table for group in GROUPS]
 
 ORACLE = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -163,3 +167,77 @@ def test_group_dtype_boundary():
     for t in (broken, other):
         assert _outcome(_validate_group, t) == _outcome(ref.validate_group, t)
     assert _outcome(_validate_group, other) == ("ValueError", "Not commutative at (255,256).")
+
+
+def _maps(homs):
+    return [h.mapping for h in homs]
+
+
+def test_hom_search_matches_reference_on_catalog():
+    for injective in (False, True):
+        for G in GROUPS:
+            for H in GROUPS:
+                assert _maps(group_homs(G, H, injective)) == _maps(ref.group_homs(G, H, injective))
+        for A in CATALOG:
+            for B in CATALOG:
+                if A.signature == B.signature:
+                    found = _maps(enumerate_homs(A, B, injective))
+                    assert found == _maps(ref.enumerate_homs(A, B, injective))
+
+
+def test_colliding_constants():
+    # one element carries 1, 0, bot and top: a hom exists only where their images agree
+    point = trivial_algebra(SIGNATURE_FULL)
+    for target, expected in ((point, [(0,)]), (build_R(make_group([2]), SIGNATURE_FULL), [])):
+        for injective in (False, True):
+            assert _maps(enumerate_homs(point, target, injective)) == expected
+            assert _maps(ref.enumerate_homs(point, target, injective)) == expected
+
+
+@st.composite
+def hom_pairs(draw):
+    """Two mutated algebras of one signature (a hom search needs it)."""
+    A = draw(mutated_algebras())
+    B = draw(mutated_algebras().filter(lambda B: B.signature == A.signature))
+    return A, B
+
+
+@ORACLE
+@given(hom_pairs(), st.booleans())
+def test_hom_search_matches_reference_on_mutants(pair, injective):
+    A, B = pair
+    assert _maps(enumerate_homs(A, B, injective)) == _maps(ref.enumerate_homs(A, B, injective))
+
+
+@st.composite
+def mutated_maps(draw, source_size, target_size, homs):
+    """A hom from ``homs`` (or the constant map) with up to three images moved."""
+    mapping = list(draw(st.sampled_from(homs)) if homs else [0] * source_size)
+    for _ in range(draw(st.integers(0, 3))):
+        mapping[draw(st.integers(0, source_size - 1))] = draw(st.integers(0, target_size - 1))
+    return tuple(mapping)
+
+
+@ORACLE
+@given(st.data())
+def test_alg_hom_violations_match_reference(data):
+    A = data.draw(mutated_algebras())
+    B = data.draw(st.sampled_from(CATALOG))
+    homs = _maps(enumerate_homs(A, B)) if A.signature == B.signature else []
+    hom = AlgHom(A, B, data.draw(mutated_maps(A.size, B.size, homs)))
+    assert hom.violations() == ref.alg_hom_violations(hom)
+
+
+def _group_message(v: Violation) -> str:
+    if v.law == "hom-identity":
+        return "identity not preserved"
+    assert v.law == "hom-mult"
+    return "product not preserved at ({},{})".format(*v.witness)
+
+
+@ORACLE
+@given(st.data())
+def test_group_hom_violations_match_reference(data):
+    G, H = data.draw(st.sampled_from(GROUPS)), data.draw(st.sampled_from(GROUPS))
+    hom = GroupHom(G, H, data.draw(mutated_maps(G.size, H.size, _maps(group_homs(G, H)))))
+    assert [_group_message(v) for v in hom.violations()] == ref.group_hom_violations(hom)
