@@ -500,21 +500,15 @@ def congruence_set(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:
 # --- products and homomorphisms ------------------------------------------
 
 
+def _product_table(s: Table, t: Table) -> Table:
+    """Componentwise product of two tables, the pair (x, y) at x * len(t) + y."""
+    m = len(t)
+    return tuple(tuple(a * m + b for a in row_s for b in row_t) for row_s in s for row_t in t)
+
+
 def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     """Componentwise product; optional constants kept when both factors have them."""
     nA, nB = A.size, B.size
-
-    def combine(tA: Table, tB: Table) -> Table:
-        rows = []
-        for a1 in range(nA):
-            for b1 in range(nB):
-                row = []
-                for a2 in range(nA):
-                    ta = tA[a1][a2]
-                    for b2 in range(nB):
-                        row.append(ta * nB + tB[b1][b2])
-                rows.append(tuple(row))
-        return tuple(rows)
 
     def const(cA: int | None, cB: int | None) -> int | None:
         if cA is None or cB is None:
@@ -531,10 +525,10 @@ def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     )
     return FiniteAlgebra(
         size=nA * nB,
-        meet=combine(A.meet, B.meet),
-        join=combine(A.join, B.join),
-        mult=combine(A.mult, B.mult),
-        imp=combine(A.imp, B.imp),
+        meet=_product_table(A.meet, B.meet),
+        join=_product_table(A.join, B.join),
+        mult=_product_table(A.mult, B.mult),
+        imp=_product_table(A.imp, B.imp),
         one=A.one * nB + B.one,
         zero=const(A.zero, B.zero),
         bot=const(A.bot, B.bot),

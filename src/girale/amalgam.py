@@ -120,7 +120,7 @@ def _leg_group_hom(
     return GroupHom(src_group, tgt_group, mapping)
 
 
-def amalgamate(span: Span, query: KClassQuery, max_size: int | None = None) -> Amalgam:
+def amalgamate(span: Span, query: KClassQuery) -> Amalgam:
     """Amalgamate a span of class members; the result is again a member."""
     problems = validate_span(span)
     if problems:
@@ -140,8 +140,8 @@ def amalgamate(span: Span, query: KClassQuery, max_size: int | None = None) -> A
 
     alpha1 = _leg_group_hom(results["A"], span.phi1, results["B"])
     alpha2 = _leg_group_hom(results["A"], span.phi2, results["C"])
-    po = pushout(alpha1, alpha2, max_size=max_size)
-    D = build_R(po.group, query.signature, max_size=max_size)
+    po = pushout(alpha1, alpha2)
+    D = build_R(po.group, query.signature)
 
     def lifted_leg(endpoint: FiniteAlgebra, result: MembershipResult, leg: GroupHom) -> AlgHom:
         if result.trivial:
@@ -198,12 +198,9 @@ def span_catalog(
     primes: PrimeSet,
     signature: frozenset[str],
     max_order: int,
-    include_trivial: bool = True,
 ) -> Iterator[Span]:
     """Every span over the class catalog, in a deterministic order."""
     members = class_catalog(primes, signature, max_order)
-    if not include_trivial:
-        members = [m for m in members if m[2] is not None]
     emb_cache: dict[tuple[int, int], list[AlgHom]] = {}
 
     def embeddings(i: int, j: int) -> list[AlgHom]:

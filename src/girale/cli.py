@@ -36,6 +36,7 @@ from .formula import ParseError, formula_to_dict, parse, render
 from .group import PrimeSet, group_from_json, make_group
 from .proofs import (
     SYSTEMS,
+    _refutation_catalog,
     parse_sequent,
     proof_to_json,
     prove_sequent,
@@ -318,13 +319,6 @@ def _cmd_interpolate(args, inputs: _Inputs):
     return EXIT_TRUE, payload
 
 
-def _default_refutation_catalog():
-    return [
-        build_R(make_group([2]), frozenset({"0"})),
-        build_R(make_group([3]), frozenset({"0"})),
-    ]
-
-
 def _cmd_prove(args, inputs: _Inputs):
     seq = parse_sequent(inputs.text("sequent", args.sequent))
     proof = prove_sequent(seq, args.bound, with_exchange=not args.no_exchange)
@@ -339,7 +333,7 @@ def _cmd_prove(args, inputs: _Inputs):
         return EXIT_TRUE, payload
     payload = {"status": "unknown", "bound": args.bound}
     translated = sequent_to_formula(seq)
-    for A in _default_refutation_catalog():
+    for A in _refutation_catalog():
         refutation = valid(A, translated)
         if not refutation.holds:
             assert refutation.countermodel is not None

@@ -8,12 +8,15 @@ homomorphisms, which serve as the finite amalgamation oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .algebra import (
+    Table,
     Violation,
     _Hom,
     _Ops,
@@ -21,6 +24,7 @@ from .algebra import (
     _index_dtype,
     _is_list_of,
     _preservation_violations,
+    _product_table,
     _row_blocks,
     _search_homs,
 )
@@ -65,18 +69,33 @@ class PrimeSet:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Abelian group given by its Cayley table; the constructor checks no law."""
+    """Abelian group given by its Cayley table; the constructor checks no law.
+
+    Element orders and invariant factors are derived on first use; equality
+    and hashing see only the fields.
+    """
 
     size: int
-    table: tuple[tuple[int, ...], ...]
+    table: Table
     identity: int
     inverse: tuple[int, ...]
     element_names: tuple[str, ...]
-    invariant_factors: tuple[int, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.invariant_factors is None:
-            object.__setattr__(self, "invariant_factors", invariant_factors_of(self))
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """The order of each element, by walking its powers."""
+        orders = []
+        for a, row in enumerate(self.table):
+            k, x = 1, a
+            while x != self.identity:
+                k, x = k + 1, row[x]
+            orders.append(k)
+        return tuple(orders)
+
+    @cached_property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """The canonical invariant factors (``invariant_factors_of``)."""
+        return invariant_factors_of(self)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -163,53 +182,15 @@ def make_group(
     guard(n, "group", max_size)
 
     nontrivial = [d for d in factors if d > 1]
-
-    def decode(idx: int) -> tuple[int, ...]:
-        parts = []
-        for d in reversed(nontrivial):
-            parts.append(idx % d)
-            idx //= d
-        return tuple(reversed(parts))
-
-    def encode(parts: Sequence[int]) -> int:
-        idx = 0
-        for d, r in zip(nontrivial, parts):
-            idx = idx * d + r
-        return idx
-
-    table = [
-        [
-            encode([(x + y) % d for d, x, y in zip(nontrivial, decode(i), decode(j))])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    table: Table = ((0,),)
+    for d in nontrivial:
+        table = _product_table(table, tuple(tuple((x + y) % d for y in range(d)) for x in range(d)))
     if len(nontrivial) <= 1:
         names = ["1"] + [f"a{k}" if k > 1 else "a" for k in range(1, n)]
     else:
-        names = ["(" + ",".join(str(r) for r in decode(i)) + ")" for i in range(n)]
+        digits = itertools.product(*(range(d) for d in nontrivial))
+        names = ["(" + ",".join(map(str, parts)) + ")" for parts in digits]
     return _trusted_group(table, names)
-
-
-def power(group: FiniteGroup, a: int, k: int) -> int:
-    """a^k by repeated squaring; k >= 0."""
-    result = group.identity
-    base = a
-    while k > 0:
-        if k & 1:
-            result = group.mul(result, base)
-        base = group.mul(base, base)
-        k >>= 1
-    return result
-
-
-def order_of(group: FiniteGroup, a: int) -> int:
-    k = 1
-    x = a
-    while x != group.identity:
-        x = group.mul(x, a)
-        k += 1
-    return k
 
 
 def _prime_factorization(n: int) -> dict[int, int]:
@@ -228,8 +209,8 @@ def _prime_factorization(n: int) -> dict[int, int]:
 def invariant_factors_of(group: FiniteGroup) -> tuple[int, ...]:
     """Canonical invariant factors d1 | d2 | ... (ascending); () for the trivial group.
 
-    Recovered from the counts of elements killed by successive prime powers,
-    which determine the type of each primary component.
+    Recovered from the counts of elements whose order divides successive
+    prime powers, which determine the type of each primary component.
     """
     n = group.size
     if n == 1:
@@ -239,7 +220,7 @@ def invariant_factors_of(group: FiniteGroup) -> tuple[int, ...]:
         exps = [0]
         i = 1
         while True:
-            c = sum(1 for g in range(n) if power(group, g, p**i) == group.identity)
+            c = sum(1 for d in group.orders if p**i % d == 0)
             e = 0
             cc = c
             while cc > 1:
@@ -275,11 +256,11 @@ class SigmaResult:
 
 
 def check_sigma(group: FiniteGroup, primes: PrimeSet) -> SigmaResult:
-    """Pass iff g^p = 1 forces g = 1 for every p in the set; witness otherwise."""
+    """Pass iff g^p = 1 forces g = 1 for every p in the set; otherwise the
+    witness is the first element of order p."""
     for p in primes:
-        for g in range(group.size):
-            if g != group.identity and power(group, g, p) == group.identity:
-                return SigmaResult(False, g, p)
+        if p in group.orders:
+            return SigmaResult(False, group.orders.index(p), p)
     return SigmaResult(True)
 
 
@@ -360,11 +341,14 @@ class Pushout:
     into_right: GroupHom  # from the target of the second leg
 
 
-def pushout(f: GroupHom, g: GroupHom, max_size: int | None = None) -> Pushout:
+def pushout(f: GroupHom, g: GroupHom) -> Pushout:
     """Pushout (B x C)/N of an injective span B <- A -> C of abelian groups.
 
-    N is generated by the pairs (f(a), g(a)^-1).  The legs are checked; the
-    quotient and the legs into it are a pushout by construction and are not.
+    N is the set of pairs (f(a), g(a)^-1), the image of A under a
+    homomorphism and so already a subgroup.  With the pair (b, c) at
+    b * |C| + c, the cosets are numbered in the order of their least members.
+    The legs are checked; the quotient and the legs into it are a pushout by
+    construction and are not.
     """
     if f.source != g.source:
         raise ValueError("Pushout legs must share their source.")
@@ -374,59 +358,36 @@ def pushout(f: GroupHom, g: GroupHom, max_size: int | None = None) -> Pushout:
         raise ValueError("Pushout requires valid homomorphisms.")
     left, right = f.target, g.target
     n_left, n_right = left.size, right.size
-    from .capacity import max_size as _cap
+    from .capacity import max_size
 
-    bound = _cap() if max_size is None else max_size
+    bound = max_size()
     if n_left * n_right > bound * bound:
         raise CapacityError(
             f"Pushout intermediate of size {n_left * n_right} exceeds {bound * bound}."
         )
 
-    def enc(b: int, c: int) -> int:
-        return b * n_right + c
-
-    def pmul(x: int, y: int) -> int:
-        bx, cx = divmod(x, n_right)
-        by, cy = divmod(y, n_right)
-        return enc(left.mul(bx, by), right.mul(cx, cy))
-
-    gens = [
-        enc(f.mapping[a], right.inv(g.mapping[a])) for a in range(f.source.size)
-    ]
-    kernel = {enc(left.identity, right.identity)}
-    frontier = list(gens)
-    kernel.update(frontier)
-    while frontier:
-        x = frontier.pop()
-        for y in list(kernel):
-            z = pmul(x, y)
-            if z not in kernel:
-                kernel.add(z)
-                frontier.append(z)
-
-    coset_index: dict[int, int] = {}
-    reps: list[int] = []
+    kernel = [(f.mapping[a], right.inv(g.mapping[a])) for a in range(f.source.size)]
+    coset = [-1] * (n_left * n_right)
+    reps: list[tuple[int, int]] = []
     for x in range(n_left * n_right):
-        if x in coset_index:
-            continue
-        members = sorted(pmul(x, k) for k in kernel)
-        idx = len(reps)
-        for m in members:
-            coset_index[m] = idx
-        reps.append(members[0])
+        if coset[x] < 0:  # x is the least member of its coset
+            b, c = divmod(x, n_right)
+            row_b, row_c = left.table[b], right.table[c]
+            for kb, kc in kernel:
+                coset[row_b[kb] * n_right + row_c[kc]] = len(reps)
+            reps.append((b, c))
 
     size = len(reps)
-    guard(size, "pushout", max_size)
-    table = [
-        [coset_index[pmul(reps[i], reps[j])] for j in range(size)] for i in range(size)
-    ]
+    guard(size, "pushout")
+    rows = [(left.table[b], right.table[c]) for b, c in reps]
+    table = [[coset[row_b[b] * n_right + row_c[c]] for b, c in reps] for row_b, row_c in rows]
     quotient = _trusted_group(table, [f"c{i}" for i in range(size)])
 
     into_left = GroupHom(
-        left, quotient, tuple(coset_index[enc(b, right.identity)] for b in range(n_left))
+        left, quotient, tuple(coset[b * n_right + right.identity] for b in range(n_left))
     )
     into_right = GroupHom(
-        right, quotient, tuple(coset_index[enc(left.identity, c)] for c in range(n_right))
+        right, quotient, tuple(coset[left.identity * n_right + c] for c in range(n_right))
     )
     return Pushout(quotient, into_left, into_right)
 
@@ -439,13 +400,10 @@ def group_homs(
     A free choice for a sends it to an element whose order divides a's, or,
     for embeddings, equals it.
     """
-    orders_tgt = [order_of(target, b) for b in range(target.size)]
-    allowed = []
-    for a in range(source.size):
-        k = order_of(source, a)
-        allowed.append(
-            [v for v, d in enumerate(orders_tgt) if (d == k if injective_only else k % d == 0)]
-        )
+    allowed = [
+        [v for v, d in enumerate(target.orders) if (d == k if injective_only else k % d == 0)]
+        for k in source.orders
+    ]
     maps = _search_homs(_group_ops(source, target), allowed, injective_only)
     return [GroupHom(source, target, h) for h in maps]
 
@@ -485,24 +443,24 @@ def group_to_json(group: FiniteGroup) -> dict:
         "table": [list(row) for row in group.table],
         "identity": group.identity,
         "names": list(group.element_names),
-        "invariant_factors": list(group.invariant_factors or ()),
+        "invariant_factors": list(group.invariant_factors),
     }
 
 
-def group_from_json(data: dict, max_size: int | None = None) -> FiniteGroup:
+def group_from_json(data: dict) -> FiniteGroup:
     """Load a group object; shape and types are checked here, raising ValueError."""
     if not isinstance(data, dict):
         raise ValueError("Group JSON must be an object.")
     if "invariant_factors" in data and "table" not in data:
         if not _is_list_of(data["invariant_factors"], int):
             raise ValueError("Group JSON field 'invariant_factors' must list integers.")
-        return make_group(data["invariant_factors"], max_size=max_size)
+        return make_group(data["invariant_factors"])
     if "table" in data:
         table, names = data["table"], data.get("names")
         if not (_is_list_of(table, list) and all(_is_list_of(row, int) for row in table)):
             raise ValueError("Group JSON field 'table' must be a table of integers.")
         if names is not None and not _is_list_of(names, str):
             raise ValueError("Group JSON field 'names' must be a list of strings.")
-        return group_from_table(table, names, max_size=max_size)
+        return group_from_table(table, names)
     raise ValueError("Group JSON needs either invariant_factors or a table.")
 

@@ -498,9 +498,9 @@ def prove_sequent(
                 proof = SequentProof(Sequent(ant, succ), rule, tuple(children), principal)
                 memo[key] = ("proved", (proof, proof.depth()))
                 return proof
-        previous = memo.get(key)
-        floor = previous[1] if previous is not None and previous[0] == "failed" else 0
-        memo[key] = ("failed", max(budget, floor))  # type: ignore[arg-type]
+        # every backward rule shrinks the sequent, so key recurs in no subtree,
+        # and a failure memoised at budget or deeper has returned above
+        memo[key] = ("failed", budget)
         return None
 
     ant = _sorted_ms(seq.antecedent) if with_exchange else seq.antecedent
@@ -647,6 +647,15 @@ def _interpolate(node: SequentProof, left: Counter) -> Formula:
     raise ValueError(f"Unsupported rule {rule!r} in interpolation.")
 
 
+def _refutation_catalog() -> list:
+    """R(Z2) and R(Z3) over {0}: the default algebras that refute an unproved
+    sequent and check an extracted interpolant."""
+    from .construct import build_R
+    from .group import make_group
+
+    return [build_R(make_group([d]), frozenset({"0"})) for d in (2, 3)]
+
+
 def extract_craig(
     proof: SequentProof,
     left_variables: Iterable[str],
@@ -702,13 +711,7 @@ def extract_craig(
     right_proof = prove_sequent(right_sequent, reprove_bound)
 
     if algebras is None:
-        from .construct import build_R
-        from .group import make_group
-
-        algebras = [
-            build_R(make_group([2]), frozenset({"0"})),
-            build_R(make_group([3]), frozenset({"0"})),
-        ]
+        algebras = _refutation_catalog()
     from .semantics import valid
 
     semantic_ok = all(

@@ -158,18 +158,6 @@ class ConsequenceResult:
     countermodel: dict[str, int] | None = None
 
 
-@dataclass(frozen=True)
-class ConsequenceQuery:
-    """A finite-class consequence judgment: premises entail the conclusion."""
-
-    algebras: tuple[FiniteAlgebra, ...]
-    premises: tuple[Formula, ...]
-    conclusion: Formula
-
-    def run(self) -> ConsequenceResult:
-        return consequence(self.algebras, self.premises, self.conclusion)
-
-
 def consequence(
     algebras: Sequence[FiniteAlgebra],
     premises: Sequence[Formula],

@@ -6,9 +6,13 @@ lexicographic order, and where a loop tests two laws per witness, both are
 reported at that witness.  The tests require the kernel to equal them
 exactly: the same violations in the same order, the same ``NotResiduated``
 arguments and the same first group-table error.  The hom searches and
-preservation loops at the end are the two separate engines for algebras and
-groups: the shared engine must list the same maps in the same order and
-report the same violations.
+preservation loops are the two separate engines for algebras and groups:
+the shared engine must list the same maps in the same order and report the
+same violations.  The group layer at the end computes each fact its own way:
+element powers by repeated squaring and orders by walking powers, the
+``make_group`` table by decoding and encoding each pair of elements, the
+pushout by closing its kernel under products, and the product of two tables
+by four nested loops.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from girale.algebra import (
     _binary_tables,
 )
 from girale.capacity import guard
-from girale.group import FiniteGroup, GroupHom, order_of
+from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization
 
 
 def residuals_from_mult(meet: Table, join: Table, mult: Table) -> Table:
@@ -386,3 +390,176 @@ def group_homs(
     seed[source.identity] = target.identity
     search(seed)
     return results
+
+
+# --- group layer -----------------------------------------------------------
+
+
+def power(group: FiniteGroup, a: int, k: int) -> int:
+    """a^k by repeated squaring; k >= 0."""
+    result = group.identity
+    base = a
+    while k > 0:
+        if k & 1:
+            result = group.mul(result, base)
+        base = group.mul(base, base)
+        k >>= 1
+    return result
+
+
+def order_of(group: FiniteGroup, a: int) -> int:
+    k = 1
+    x = a
+    while x != group.identity:
+        x = group.mul(x, a)
+        k += 1
+    return k
+
+
+def invariant_factors_of(group: FiniteGroup) -> tuple[int, ...]:
+    """Canonical invariant factors d1 | d2 | ... (ascending); () for the trivial group.
+
+    Recovered from the counts of elements killed by successive prime powers,
+    which determine the type of each primary component.
+    """
+    n = group.size
+    if n == 1:
+        return ()
+    per_prime: dict[int, list[int]] = {}
+    for p in _prime_factorization(n):
+        exps = [0]
+        i = 1
+        while True:
+            c = sum(1 for g in range(n) if power(group, g, p**i) == group.identity)
+            e = 0
+            cc = c
+            while cc > 1:
+                if cc % p:
+                    raise ValueError("Torsion counts are not prime powers; not a group?")
+                cc //= p
+                e += 1
+            if e == exps[-1]:
+                break
+            exps.append(e)
+            i += 1
+        conj = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
+        parts = [sum(1 for c_ in conj if c_ >= j) for j in range(1, (conj[0] if conj else 0) + 1)]
+        per_prime[p] = sorted(parts, reverse=True)
+    width = max(len(parts) for parts in per_prime.values())
+    factors_desc = []
+    for j in range(width):
+        d = 1
+        for p, parts in per_prime.items():
+            if j < len(parts):
+                d *= p ** parts[j]
+        factors_desc.append(d)
+    return tuple(sorted(factors_desc))
+
+
+def check_sigma(group: FiniteGroup, primes: PrimeSet) -> tuple[bool, int | None, int | None]:
+    """(passed, witness element, witness prime): the first g != 1 with g^p = 1."""
+    for p in primes:
+        for g in range(group.size):
+            if g != group.identity and power(group, g, p) == group.identity:
+                return False, g, p
+    return True, None, None
+
+
+def make_group(invariant_factors: Sequence[int]) -> tuple[list[list[int]], list[str]]:
+    """Table and names of the direct product of cyclic groups of the given orders."""
+    factors = [int(d) for d in invariant_factors]
+    n = 1
+    for d in factors:
+        n *= d
+
+    nontrivial = [d for d in factors if d > 1]
+
+    def decode(idx: int) -> tuple[int, ...]:
+        parts = []
+        for d in reversed(nontrivial):
+            parts.append(idx % d)
+            idx //= d
+        return tuple(reversed(parts))
+
+    def encode(parts: Sequence[int]) -> int:
+        idx = 0
+        for d, r in zip(nontrivial, parts):
+            idx = idx * d + r
+        return idx
+
+    table = [
+        [
+            encode([(x + y) % d for d, x, y in zip(nontrivial, decode(i), decode(j))])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    if len(nontrivial) <= 1:
+        names = ["1"] + [f"a{k}" if k > 1 else "a" for k in range(1, n)]
+    else:
+        names = ["(" + ",".join(str(r) for r in decode(i)) + ")" for i in range(n)]
+    return table, names
+
+
+def pushout(
+    f: GroupHom, g: GroupHom
+) -> tuple[list[list[int]], list[str], tuple[int, ...], tuple[int, ...]]:
+    """Quotient table, names and the two legs of (B x C)/N, N closed under products."""
+    left, right = f.target, g.target
+    n_left, n_right = left.size, right.size
+
+    def enc(b: int, c: int) -> int:
+        return b * n_right + c
+
+    def pmul(x: int, y: int) -> int:
+        bx, cx = divmod(x, n_right)
+        by, cy = divmod(y, n_right)
+        return enc(left.mul(bx, by), right.mul(cx, cy))
+
+    gens = [
+        enc(f.mapping[a], right.inv(g.mapping[a])) for a in range(f.source.size)
+    ]
+    kernel = {enc(left.identity, right.identity)}
+    frontier = list(gens)
+    kernel.update(frontier)
+    while frontier:
+        x = frontier.pop()
+        for y in list(kernel):
+            z = pmul(x, y)
+            if z not in kernel:
+                kernel.add(z)
+                frontier.append(z)
+
+    coset_index: dict[int, int] = {}
+    reps: list[int] = []
+    for x in range(n_left * n_right):
+        if x in coset_index:
+            continue
+        members = sorted(pmul(x, k) for k in kernel)
+        idx = len(reps)
+        for m in members:
+            coset_index[m] = idx
+        reps.append(members[0])
+
+    size = len(reps)
+    table = [
+        [coset_index[pmul(reps[i], reps[j])] for j in range(size)] for i in range(size)
+    ]
+    into_left = tuple(coset_index[enc(b, right.identity)] for b in range(n_left))
+    into_right = tuple(coset_index[enc(left.identity, c)] for c in range(n_right))
+    return table, [f"c{i}" for i in range(size)], into_left, into_right
+
+
+def product_table(tA: Table, tB: Table) -> Table:
+    """``direct_product``'s componentwise table of two factors."""
+    nA, nB = len(tA), len(tB)
+    rows = []
+    for a1 in range(nA):
+        for b1 in range(nB):
+            row = []
+            for a2 in range(nA):
+                ta = tA[a1][a2]
+                for b2 in range(nB):
+                    row.append(ta * nB + tB[b1][b2])
+            rows.append(tuple(row))
+    return tuple(rows)

@@ -182,6 +182,30 @@ def test_homs_and_interpolate_output_pinned(capsys, monkeypatch, name):
     assert out == (data / f"{name}.json").read_text()
 
 
+# name -> (argv, exit code): pushouts over a nontrivial A (the coset numbering
+# shows in D's tables, its names c0.. and psi1/psi2), make_group's names and
+# table, and check_sigma's witness
+GROUP_PINNED = {
+    "amalgamate-z2-z4-z2z2": (["amalgamate", "--span", "span-z2-z4-z2z2.json", "--primes", "3"], 0),
+    "amalgamate-z3-z9-z9": (["amalgamate", "--span", "span-z3-z9-z9.json", "--primes", "2"], 0),
+    "amalgamate-t-z2-z3": (["amalgamate", "--span", "span-t-z2-z3.json", "--primes", "5"], 0),
+    "build-2-2-3-full": (["build", "--group", "2,2,3", "--sig", "full"], 0),
+    "member-k-z3-p3": (["member-k", "--algebra", "r_z3_full.json", "--primes", "3"], 1),
+    "member-k-z4-p2-3": (["member-k", "--algebra", "r_z4_zero.json", "--primes", "2,3"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_PINNED))
+def test_group_layer_output_pinned(capsys, monkeypatch, name):
+    """Byte-identical --json for pushouts, make_group and the sigma witness."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data)
+    argv, expected = GROUP_PINNED[name]
+    code, out = invoke(capsys, argv + ["--json"])
+    assert code == expected
+    assert out == (data / f"{name}.json").read_text()
+
+
 def test_interpolate_command(tmp_path, capsys):
     algebra = tmp_path / "g.json"
     invoke(capsys, ["build", "--group", "3", "--sig", "full", "--out", str(algebra)])

@@ -7,7 +7,6 @@ from girale.formula import Bang, BinOp, Const, Var, parse, render
 from girale.group import make_group
 from girale.proofs import SCHEMES
 from girale.semantics import (
-    ConsequenceQuery,
     consequence,
     consequence_slow,
     deduction_check,
@@ -93,11 +92,6 @@ def test_consequence_matches_slow_path():
         slow = consequence_slow([GIRALE_Z3], premises, conclusion)
         assert fast.holds == slow.holds
         assert fast.countermodel == slow.countermodel
-
-
-def test_consequence_query_wrapper():
-    query = ConsequenceQuery((RZ2,), (parse("x"),), parse("x"))
-    assert query.run().holds
 
 
 def _random_formula(rng, depth, signature):
