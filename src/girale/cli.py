@@ -1,10 +1,11 @@
 """Command-line interface: one verb per workbench operation, JSON-first output.
 
 Exit codes: 0 success or a true judgment, 1 a false judgment (countermodel
-attached), 2 usage or input errors, 3 capacity errors, 4 an internal error
-(a bug: any other exception, reported with its message); a bounded search
-without an answer (exhausted, unknown) exits 0 with a note.  With --json every
-payload is a single JSON object embedding the tool version and SHA-256
+attached, or ``prove`` status unprovable: cut-free search failed without a
+cut-off), 2 usage or input errors, 3 capacity errors, 4 an internal error (a
+bug: any other exception, reported with its message); a bounded search
+without an answer (exhausted, unknown) exits 0 with a note.  With --json
+every payload is a single JSON object embedding the tool version and SHA-256
 hashes of all inputs, so repeated runs are byte-identical.
 """
 
@@ -39,7 +40,7 @@ from .proofs import (
     _refutation_catalog,
     parse_sequent,
     proof_to_json,
-    prove_sequent,
+    search_sequent,
     sequent_to_formula,
     steps_from_json,
     validate_proof,
@@ -321,7 +322,7 @@ def _cmd_interpolate(args, inputs: _Inputs):
 
 def _cmd_prove(args, inputs: _Inputs):
     seq = parse_sequent(inputs.text("sequent", args.sequent))
-    proof = prove_sequent(seq, args.bound, with_exchange=not args.no_exchange)
+    proof, exhaustive = search_sequent(seq, args.bound, with_exchange=not args.no_exchange)
     if proof is not None:
         problems = validate_proof(proof, with_exchange=not args.no_exchange)
         payload = {
@@ -341,7 +342,11 @@ def _cmd_prove(args, inputs: _Inputs):
             payload["countermodel"] = _named_assignment(A, refutation.countermodel)
             payload["formula"] = render(translated)
             return EXIT_FALSE, payload
-    payload["note"] = "bounded search exhausted; not a proof or a refutation"
+    if exhaustive:
+        payload["status"] = "unprovable"
+        payload["note"] = "certificate: exhaustive cut-free search, never cut off at the bound"
+        return EXIT_FALSE, payload
+    payload["note"] = "search cut off at the bound; not a proof or a refutation"
     return EXIT_TRUE, payload
 
 

@@ -31,14 +31,36 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
+class _Node:
+    """Slots for the hash and structural key, filled on first use.  The hash
+    is the dataclass one, built from the children's cached hashes.  Slots are
+    not fields, so ``==`` and ``repr`` ignore them, and pickling drops them:
+    string hashes vary with ``PYTHONHASHSEED`` between processes."""
+
+    __slots__ = ("_hash", "_key")
+
+    def __getstate__(self) -> dict:
+        return self.__dict__
+
+
+def _cached_hash(node: _Node) -> int:
+    try:
+        return node._hash  # type: ignore[attr-defined]
+    except AttributeError:
+        object.__setattr__(node, "_hash", hash(tuple(node.__dict__.values())))  # the fields
+        return node._hash  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     symbol: str  # one of CONSTS
+    __hash__ = _cached_hash
 
     def __post_init__(self) -> None:
         if self.symbol not in CONSTS:
@@ -46,15 +68,17 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Bang:
+class Bang(_Node):
     child: "Formula"
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of OPS
     left: "Formula"
     right: "Formula"
+    __hash__ = _cached_hash
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
@@ -386,14 +410,22 @@ def depth(f: Formula) -> int:
 
 
 def structural_key(f: Formula):
-    """Total order key: variables, constants, then and < or < mul < imp < bang."""
+    """Total order key: variables, constants, then and < or < mul < imp < bang;
+    cached on the node."""
+    try:
+        return f._key  # type: ignore[union-attr]
+    except AttributeError:
+        pass
     if isinstance(f, Var):
-        return (0, f.name)
-    if isinstance(f, Const):
-        return (1, CONSTS.index(f.symbol))
-    if isinstance(f, BinOp):
-        return (2, OPS.index(f.op), structural_key(f.left), structural_key(f.right))
-    return (3, structural_key(f.child))
+        key: tuple = (0, f.name)
+    elif isinstance(f, Const):
+        key = (1, CONSTS.index(f.symbol))
+    elif isinstance(f, BinOp):
+        key = (2, OPS.index(f.op), structural_key(f.left), structural_key(f.right))
+    else:
+        key = (3, structural_key(f.child))
+    object.__setattr__(f, "_key", key)
+    return key
 
 
 def connectives(f: Formula) -> set[str]:

@@ -5,9 +5,12 @@ metavariables over whole formulas) and the rules mp, adj, nec.  The sequent
 side does backward search in the cut-free commutative calculus over
 {and, or, mul, imp, 1, 0}; with exchange, antecedents are multisets.  When
 exchange is off, antecedents are sequences and the implication is read as
-the left residual, so order-sensitive sequents genuinely fail.  A
-Maehara-style split of a cut-free proof yields midpoint formulas whose two
-halves are re-proved by search and re-checked semantically.
+the left residual, so order-sensitive sequents genuinely fail.  Every
+backward rule shrinks the sequent, so a failure the depth bound never cut
+off has covered the whole cut-free space: by cut elimination for FLe and
+FL the sequent is unprovable, and the failure is memoised at every budget.
+A Maehara-style split of a cut-free proof yields midpoint formulas whose
+two halves are re-proved by search and re-checked semantically.
 """
 
 from __future__ import annotations
@@ -355,6 +358,7 @@ def _splits(ms: tuple[Formula, ...]) -> Iterator[tuple[tuple[Formula, ...], tupl
 
 
 Goal = tuple[tuple[Formula, ...], Formula | None]
+_EVERY_BUDGET = float("inf")
 
 
 def _expand_exchange(ant: tuple[Formula, ...], succ: Formula | None):
@@ -463,17 +467,22 @@ def _expand_sequence(ant: tuple[Formula, ...], succ: Formula | None):
                     )
 
 
-def prove_sequent(
+def search_sequent(
     seq: Sequent, bound: int, with_exchange: bool = True
-) -> SequentProof | None:
-    """Backward cut-free search up to the given proof depth; None means unknown."""
+) -> tuple[SequentProof | None, bool]:
+    """Backward cut-free search up to the given proof depth: the first proof
+    found or None, and whether that answer holds at every bound (after a
+    failure: whether no branch it depends on was cut off by the bound)."""
     if bound < 1:
         raise ValueError("bound must be at least 1.")
     _check_fragment(seq)
     expand = _expand_exchange if with_exchange else _expand_sequence
     memo: dict[Goal, tuple[str, object]] = {}
+    cuts = 0  # cut-offs below the failures still open on the call stack
 
     def search(ant: tuple[Formula, ...], succ: Formula | None, budget: int) -> SequentProof | None:
+        nonlocal cuts
+        before = cuts
         key: Goal = (ant, succ)
         hit = memo.get(key)
         if hit is not None:
@@ -482,9 +491,12 @@ def prove_sequent(
                 proof, proof_depth = value  # type: ignore[misc]
                 if proof_depth <= budget:
                     return proof
+                cuts += 1  # a proof exists, so any failure below is a cut-off
             elif value >= budget:  # failed at this depth or deeper already
+                cuts += value != _EVERY_BUDGET
                 return None
         if budget < 1:
+            cuts += 1
             return None
         for rule, goals, principal in expand(ant, succ):
             children = []
@@ -497,14 +509,22 @@ def prove_sequent(
             if children is not None:
                 proof = SequentProof(Sequent(ant, succ), rule, tuple(children), principal)
                 memo[key] = ("proved", (proof, proof.depth()))
+                cuts = before  # cut-offs under a proof decide nothing
                 return proof
         # every backward rule shrinks the sequent, so key recurs in no subtree,
-        # and a failure memoised at budget or deeper has returned above
-        memo[key] = ("failed", budget)
+        # and a failure memoised at budget or deeper has returned above; one
+        # never cut off covered the whole cut-free space and fails at any budget
+        memo[key] = ("failed", budget if cuts != before else _EVERY_BUDGET)
         return None
 
     ant = _sorted_ms(seq.antecedent) if with_exchange else seq.antecedent
-    return search(ant, seq.succedent, bound)
+    proof = search(ant, seq.succedent, bound)
+    return proof, cuts == 0
+
+
+def prove_sequent(seq: Sequent, bound: int, with_exchange: bool = True) -> SequentProof | None:
+    """The proof ``search_sequent`` finds, or None: unknown at this bound."""
+    return search_sequent(seq, bound, with_exchange)[0]
 
 
 def validate_proof(proof: SequentProof, with_exchange: bool = True) -> list[str]:

@@ -12,11 +12,15 @@ same violations.  The group layer at the end computes each fact its own way:
 element powers by repeated squaring and orders by walking powers, the
 ``make_group`` table by decoding and encoding each pair of elements, the
 pushout by closing its kernel under products, and the product of two tables
-by four nested loops.
+by four nested loops.  The sequent section keeps the search loop that
+re-searches every failure at each larger budget, the recursive structural
+key, and the hash of the formula nodes as plain dataclasses, all without
+caches.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from girale.algebra import (
@@ -29,7 +33,16 @@ from girale.algebra import (
     _binary_tables,
 )
 from girale.capacity import guard
+from girale.formula import CONSTS, OPS, Bang, BinOp, Const, Formula, Var
 from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization
+from girale.proofs import (
+    Goal,
+    Sequent,
+    SequentProof,
+    _check_fragment,
+    _expand_exchange,
+    _expand_sequence,
+)
 
 
 def residuals_from_mult(meet: Table, join: Table, mult: Table) -> Table:
@@ -563,3 +576,94 @@ def product_table(tA: Table, tB: Table) -> Table:
                     row.append(ta * nB + tB[b1][b2])
             rows.append(tuple(row))
     return tuple(rows)
+
+
+# --- sequents ---------------------------------------------------------------
+
+
+def structural_key(f: Formula):
+    """Total order key: variables, constants, then and < or < mul < imp < bang."""
+    if isinstance(f, Var):
+        return (0, f.name)
+    if isinstance(f, Const):
+        return (1, CONSTS.index(f.symbol))
+    if isinstance(f, BinOp):
+        return (2, OPS.index(f.op), structural_key(f.left), structural_key(f.right))
+    return (3, structural_key(f.child))
+
+
+@dataclass(frozen=True)
+class PlainVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class PlainConst:
+    symbol: str
+
+
+@dataclass(frozen=True)
+class PlainBang:
+    child: object
+
+
+@dataclass(frozen=True)
+class PlainBinOp:
+    op: str
+    left: object
+    right: object
+
+
+def plain(f: Formula):
+    """The same tree in dataclasses with the generated, uncached hash."""
+    if isinstance(f, Var):
+        return PlainVar(f.name)
+    if isinstance(f, Const):
+        return PlainConst(f.symbol)
+    if isinstance(f, Bang):
+        return PlainBang(plain(f.child))
+    return PlainBinOp(f.op, plain(f.left), plain(f.right))
+
+
+def prove_sequent(
+    seq: Sequent, bound: int, with_exchange: bool = True
+) -> SequentProof | None:
+    """Backward cut-free search up to the given proof depth; None means unknown."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1.")
+    _check_fragment(seq)
+    expand = _expand_exchange if with_exchange else _expand_sequence
+    memo: dict[Goal, tuple[str, object]] = {}
+
+    def search(ant: tuple[Formula, ...], succ: Formula | None, budget: int) -> SequentProof | None:
+        key: Goal = (ant, succ)
+        hit = memo.get(key)
+        if hit is not None:
+            status, value = hit
+            if status == "proved":
+                proof, proof_depth = value  # type: ignore[misc]
+                if proof_depth <= budget:
+                    return proof
+            elif value >= budget:  # failed at this depth or deeper already
+                return None
+        if budget < 1:
+            return None
+        for rule, goals, principal in expand(ant, succ):
+            children = []
+            for child_ant, child_succ in goals:
+                child = search(child_ant, child_succ, budget - 1)
+                if child is None:
+                    children = None
+                    break
+                children.append(child)
+            if children is not None:
+                proof = SequentProof(Sequent(ant, succ), rule, tuple(children), principal)
+                memo[key] = ("proved", (proof, proof.depth()))
+                return proof
+        # every backward rule shrinks the sequent, so key recurs in no subtree,
+        # and a failure memoised at budget or deeper has returned above
+        memo[key] = ("failed", budget)
+        return None
+
+    ant = tuple(sorted(seq.antecedent, key=structural_key)) if with_exchange else seq.antecedent
+    return search(ant, seq.succedent, bound)

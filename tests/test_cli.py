@@ -129,8 +129,19 @@ def test_prove_unknown_is_not_a_false_judgment(capsys):
     assert doc["result"] == {
         "status": "unknown",
         "bound": 1,
-        "note": "bounded search exhausted; not a proof or a refutation",
+        "note": "search cut off at the bound; not a proof or a refutation",
     }
+
+
+def test_prove_exhaustive_failure_is_unprovable(capsys):
+    # double negation elimination: no cut-free FLe proof, yet valid in R(Z2), R(Z3)
+    code, doc = invoke_json(capsys, ["prove", "--sequent", "(x -> 0) -> 0 => x", "--bound", "12"])
+    assert code == 1
+    assert doc["result"]["status"] == "unprovable"
+    assert "exhaustive cut-free search" in doc["result"]["note"]
+    # cut off at bound 1, so not decided
+    code, doc = invoke_json(capsys, ["prove", "--sequent", "(x -> 0) -> 0 => x", "--bound", "1"])
+    assert code == 0 and doc["result"]["status"] == "unknown"
 
 
 @pytest.mark.parametrize(

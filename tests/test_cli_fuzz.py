@@ -126,7 +126,7 @@ def _false_verdict(result: dict) -> bool:
     return (
         "countermodel" in result
         or any(result.get(key) is False for key in ("passed", "member", "valid", "holds"))
-        or result.get("status") == "refuted"
+        or result.get("status") in ("refuted", "unprovable")
         or bool(result.get("failures"))
     )
 

@@ -1,3 +1,10 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +33,8 @@ from girale.formula import (
     structural_key,
     substitute,
 )
+
+from tests import reference_kernel as ref
 
 
 def imp(a, b):
@@ -178,3 +187,60 @@ def test_substitution_composes(f, s, t):
 @given(formulas)
 def test_json_round_trip(f):
     assert formula_from_dict(formula_to_dict(f)) == f
+
+
+@settings(max_examples=200)
+@given(formulas)
+def test_cached_hash_and_key_match_the_recursion(f):
+    # twice: the first call fills the caches, the second reads them
+    for _ in range(2):
+        assert hash(f) == hash(ref.plain(f))
+        assert structural_key(f) == ref.structural_key(f)
+    twin = formula_from_dict(formula_to_dict(f))
+    assert twin == f and hash(twin) == hash(f)
+
+
+def test_caches_leave_fields_and_repr_alone():
+    f = parse("!x * (y -> 0)")
+    before = repr(f)
+    hash(f), structural_key(f)
+    assert repr(f) == before == (
+        "BinOp(op='mul', left=Bang(child=Var(name='x')), "
+        "right=BinOp(op='imp', left=Var(name='y'), right=Const(symbol='0')))"
+    )
+    shapes = {Var: ["name"], Const: ["symbol"], Bang: ["child"], BinOp: ["op", "left", "right"]}
+    for cls, names in shapes.items():
+        assert [field.name for field in dataclasses.fields(cls)] == names
+    assert vars(f) == {"op": "mul", "left": f.left, "right": f.right}
+
+
+_DUMP = """
+import pickle, sys
+from girale.formula import parse, structural_key
+f = parse(sys.argv[1])
+hash(f), structural_key(f)
+sys.stdout.buffer.write(pickle.dumps(f))
+"""
+
+_LOAD = """
+import pickle, sys
+from girale.formula import parse
+f = pickle.loads(sys.stdin.buffer.read())
+print(hash(f) == hash(parse(sys.argv[1])), f == parse(sys.argv[1]))
+"""
+
+
+def test_pickling_drops_the_cached_hash():
+    """A hash cached under one PYTHONHASHSEED must not survive into another."""
+    text = "x * (y -> z) /\\ !(w \\/ 1)"
+    src = str(Path(__import__("girale").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}
+    data = subprocess.run(
+        [sys.executable, "-c", _DUMP, text], env=env, capture_output=True, check=True
+    ).stdout
+    assert hash(pickle.loads(data)) == hash(parse(text))
+    env["PYTHONHASHSEED"] = "2"
+    out = subprocess.run(
+        [sys.executable, "-c", _LOAD, text], env=env, input=data, capture_output=True, check=True
+    ).stdout
+    assert out.split() == [b"True", b"True"]
