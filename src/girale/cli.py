@@ -334,14 +334,18 @@ def _cmd_prove(args, inputs: _Inputs):
         return EXIT_TRUE, payload
     payload = {"status": "unknown", "bound": args.bound}
     translated = sequent_to_formula(seq)
-    for A in _refutation_catalog():
-        refutation = valid(A, translated)
-        if not refutation.holds:
-            assert refutation.countermodel is not None
-            payload["status"] = "refuted"
-            payload["countermodel"] = _named_assignment(A, refutation.countermodel)
-            payload["formula"] = render(translated)
-            return EXIT_FALSE, payload
+    try:
+        for A in _refutation_catalog():
+            refutation = valid(A, translated)
+            if not refutation.holds:
+                assert refutation.countermodel is not None
+                payload["status"] = "refuted"
+                payload["countermodel"] = _named_assignment(A, refutation.countermodel)
+                payload["formula"] = render(translated)
+                return EXIT_FALSE, payload
+    except CapacityError:
+        if not exhaustive:  # nothing decided: report the capacity error
+            raise
     if exhaustive:
         payload["status"] = "unprovable"
         payload["note"] = "certificate: exhaustive cut-free search, never cut off at the bound"

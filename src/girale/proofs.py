@@ -9,14 +9,17 @@ the left residual, so order-sensitive sequents genuinely fail.  Every
 backward rule shrinks the sequent, so a failure the depth bound never cut
 off has covered the whole cut-free space: by cut elimination for FLe and
 FL the sequent is unprovable, and the failure is memoised at every budget.
-A Maehara-style split of a cut-free proof yields midpoint formulas whose
-two halves are re-proved by search and re-checked semantically.
+Search and proof checking run over int codes for the subformulas of the
+root sequent, through one rule table for both calculi.  A Maehara-style
+split of a cut-free proof yields midpoint formulas whose two halves are
+re-proved by search and re-checked semantically.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib.resources import files
@@ -340,131 +343,130 @@ def _sorted_ms(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(sorted(formulas, key=structural_key))
 
 
-def _splits(ms: tuple[Formula, ...]) -> Iterator[tuple[tuple[Formula, ...], tuple[Formula, ...]]]:
-    """All multiset splits of a sorted tuple, deterministically."""
-    groups: list[list] = []
-    for f in ms:
-        if groups and groups[-1][0] == f:
-            groups[-1][1] += 1
-        else:
-            groups.append([f, 1])
-    for take in itertools.product(*(range(count + 1) for _, count in groups)):
-        sub: list[Formula] = []
-        rest: list[Formula] = []
-        for (f, count), k in zip(groups, take):
-            sub.extend([f] * k)
-            rest.extend([f] * (count - k))
-        yield tuple(sub), tuple(rest)
-
-
-Goal = tuple[tuple[Formula, ...], Formula | None]
+Goal = tuple[tuple[int, ...], int | None]  # antecedent and succedent codes
 _EVERY_BUDGET = float("inf")
+_NEVER = (None, _EVERY_BUDGET)  # the memo entry of a goal that fails at every budget
 
 
-def _expand_exchange(ant: tuple[Formula, ...], succ: Formula | None):
-    """Backward rule instances at a multiset sequent: (rule, subgoals, principal)."""
-    if len(ant) == 1 and succ is not None and ant[0] == succ:
-        yield ("id", (), None)
-    if not ant and succ == ONE:
-        yield ("1r", (), None)
-    if len(ant) == 1 and ant[0] == ZERO and succ is None:
-        yield ("0r", (), None)
-    if succ is not None:
-        if isinstance(succ, BinOp):
-            if succ.op == "imp":
-                yield ("->r", ((_sorted_ms(ant + (succ.left,)), succ.right),), None)
-            elif succ.op == "and":
-                yield ("/\\r", ((ant, succ.left), (ant, succ.right)), None)
-            elif succ.op == "or":
-                yield ("\\/r1", ((ant, succ.left),), None)
-                yield ("\\/r2", ((ant, succ.right),), None)
-            elif succ.op == "mul":
-                for sub, rest in _splits(ant):
-                    yield ("*r", ((sub, succ.left), (rest, succ.right)), None)
-        if succ == ZERO:
-            yield ("0l", ((ant, None),), None)
-    seen = set()
-    for i, f in enumerate(ant):
-        if f in seen:
-            continue
-        seen.add(f)
-        rest = ant[:i] + ant[i + 1 :]
-        if f == ONE:
-            yield ("1l", ((rest, succ),), f)
-        elif isinstance(f, BinOp):
-            if f.op == "mul":
-                yield ("*l", ((_sorted_ms(rest + (f.left, f.right)), succ),), f)
-            elif f.op == "and":
-                yield ("/\\l1", ((_sorted_ms(rest + (f.left,)), succ),), f)
-                yield ("/\\l2", ((_sorted_ms(rest + (f.right,)), succ),), f)
-            elif f.op == "or":
-                yield (
-                    "\\/l",
-                    (
-                        (_sorted_ms(rest + (f.left,)), succ),
-                        (_sorted_ms(rest + (f.right,)), succ),
-                    ),
-                    f,
-                )
-            elif f.op == "imp":
-                for sub, keep in _splits(rest):
-                    yield (
-                        "->l",
-                        ((sub, f.left), (_sorted_ms(keep + (f.right,)), succ)),
-                        f,
-                    )
+def _sorted_tuple(codes: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(codes))
 
 
-def _expand_sequence(ant: tuple[Formula, ...], succ: Formula | None):
-    """Order-sensitive rules; the implication is read as the left residual."""
-    if len(ant) == 1 and succ is not None and ant[0] == succ:
-        yield ("id", (), None)
-    if not ant and succ == ONE:
-        yield ("1r", (), None)
-    if len(ant) == 1 and ant[0] == ZERO and succ is None:
-        yield ("0r", (), None)
-    if succ is not None:
-        if isinstance(succ, BinOp):
-            if succ.op == "imp":
-                yield ("->r", (((succ.left,) + ant, succ.right),), None)
-            elif succ.op == "and":
-                yield ("/\\r", ((ant, succ.left), (ant, succ.right)), None)
-            elif succ.op == "or":
-                yield ("\\/r1", ((ant, succ.left),), None)
-                yield ("\\/r2", ((ant, succ.right),), None)
-            elif succ.op == "mul":
+def _split_masks(ant: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The sub-multisets of a sorted code tuple as masks over its positions,
+    lazily, in ``itertools.product`` order over how many copies of each
+    distinct code they take (the first copies)."""
+    if len(set(ant)) == len(ant):  # one bit per position
+        return itertools.product((0, 1), repeat=len(ant))
+    runs = [sum(1 for _ in run) for _, run in itertools.groupby(ant)]
+    choices = [[(1,) * k + (0,) * (n - k) for k in range(n + 1)] for n in runs]
+    return map(tuple, map(itertools.chain.from_iterable, itertools.product(*choices)))
+
+
+def _then(
+    first: Goal, ant: tuple[int, ...], mask: tuple, add: tuple, succ: int | None
+) -> Iterator[Goal]:
+    """The premises of a split: ``first``, then, only once it is proved, the
+    positions of ``ant`` that ``mask`` leaves, with ``add``, sorted."""
+    yield first
+    rest = itertools.compress(ant, map(operator.not_, mask))
+    yield _sorted_tuple(itertools.chain(rest, add)), succ
+
+
+class _Calculus:
+    """The backward rules of FLe (with exchange) or FL (without) over the
+    subformulas of one root sequent.  By the subformula property no rule
+    introduces any other formula, so each is coded by its rank under
+    ``structural_key``: sorting codes sorts formulas in multiset order, and
+    goals are tuples of ints.  With exchange, antecedents are sorted tuples;
+    without it, the implication is read as the left residual."""
+
+    def __init__(self, root: Sequent, exchange: bool) -> None:
+        code: dict[Formula, int] = {}
+        stack = [f for f in (*root.antecedent, root.succedent) if f is not None]
+        while stack:
+            f = stack.pop()
+            if f not in code:
+                code[f] = -1
+                if type(f) is BinOp:
+                    stack += (f.left, f.right)
+                elif type(f) is Bang:
+                    stack.append(f.child)
+        self.formulas = sorted(code, key=structural_key)
+        for i, f in enumerate(self.formulas):
+            code[f] = i
+        self.code, self.exchange = code, exchange
+        # each code's connective and immediate subformulas; -1 for none
+        self.op: list[str | None] = [None] * len(code)
+        self.left, self.right = [-1] * len(code), [-1] * len(code)
+        for i, f in enumerate(self.formulas):
+            if type(f) is BinOp:
+                self.op[i], self.left[i], self.right[i] = f.op, code[f.left], code[f.right]
+        self.one, self.zero = code.get(ONE, -1), code.get(ZERO, -1)
+
+    def encode(self, seq: Sequent) -> Goal | None:
+        """The coded goal, or None if it holds a formula outside the root's."""
+        ant = tuple(map(self.code.get, seq.antecedent))
+        succ = None if seq.succedent is None else self.code.get(seq.succedent, -1)
+        return None if None in ant or succ == -1 else (ant, succ)  # type: ignore[return-value]
+
+    def decode(self, ant: tuple[int, ...], succ: int | None) -> Sequent:
+        at = self.formulas.__getitem__
+        return Sequent(tuple(map(at, ant)), None if succ is None else at(succ))
+
+    def instances(self, ant: tuple[int, ...], succ: int | None) -> Iterator[tuple]:
+        """Backward rule instances at a coded goal, in search order:
+        (rule, principal code or None, premises).  The multiset splits of
+        ``*r`` and ``->l`` come one at a time, and the second premise of each
+        split only once the first is proved."""
+        op, left, right, exchange = self.op, self.left, self.right, self.exchange
+        arrange = _sorted_tuple if exchange else tuple
+        if len(ant) == 1 and ant[0] == succ:
+            yield "id", None, ()
+        if not ant and succ == self.one:
+            yield "1r", None, ()
+        if len(ant) == 1 and ant[0] == self.zero and succ is None:
+            yield "0r", None, ()
+        if succ is not None:
+            kind, a, b = op[succ], left[succ], right[succ]
+            if kind == "imp":
+                yield "->r", None, ((arrange((a,) + ant), b),)
+            elif kind == "and":
+                yield "/\\r", None, ((ant, a), (ant, b))
+            elif kind == "or":
+                yield "\\/r1", None, ((ant, a),)
+                yield "\\/r2", None, ((ant, b),)
+            elif kind == "mul" and exchange:
+                for mask in _split_masks(ant):
+                    sub = tuple(itertools.compress(ant, mask))
+                    yield "*r", None, _then((sub, a), ant, mask, (), b)
+            elif kind == "mul":
                 for cut in range(len(ant) + 1):
-                    yield ("*r", ((ant[:cut], succ.left), (ant[cut:], succ.right)), None)
-        if succ == ZERO:
-            yield ("0l", ((ant, None),), None)
-    for i, f in enumerate(ant):
-        before = ant[:i]
-        after = ant[i + 1 :]
-        if f == ONE:
-            yield ("1l", ((before + after, succ),), f)
-        elif isinstance(f, BinOp):
-            if f.op == "mul":
-                yield ("*l", ((before + (f.left, f.right) + after, succ),), f)
-            elif f.op == "and":
-                yield ("/\\l1", ((before + (f.left,) + after, succ),), f)
-                yield ("/\\l2", ((before + (f.right,) + after, succ),), f)
-            elif f.op == "or":
-                yield (
-                    "\\/l",
-                    (
-                        (before + (f.left,) + after, succ),
-                        (before + (f.right,) + after, succ),
-                    ),
-                    f,
-                )
-            elif f.op == "imp":
+                    yield "*r", None, ((ant[:cut], a), (ant[cut:], b))
+            if succ == self.zero:
+                yield "0l", None, ((ant, None),)
+        for i, f in enumerate(ant):
+            if exchange and ant.index(f) < i:
+                continue  # a multiset has one instance per distinct formula
+            before, after = ant[:i], ant[i + 1 :]
+            kind, a, b = op[f], left[f], right[f]
+            if f == self.one:
+                yield "1l", f, ((before + after, succ),)
+            elif kind == "mul":
+                yield "*l", f, ((arrange(before + (a, b) + after), succ),)
+            elif kind == "and":
+                yield "/\\l1", f, ((arrange(before + (a,) + after), succ),)
+                yield "/\\l2", f, ((arrange(before + (b,) + after), succ),)
+            elif kind == "or":
+                yield "\\/l", f, tuple((arrange(before + (c,) + after), succ) for c in (a, b))
+            elif kind == "imp" and exchange:
+                rest = before + after
+                for mask in _split_masks(rest):
+                    sub = tuple(itertools.compress(rest, mask))
+                    yield "->l", f, _then((sub, a), rest, mask, (b,), succ)
+            elif kind == "imp":
                 for j in range(i, -1, -1):
-                    sigma = ant[j:i]
-                    yield (
-                        "->l",
-                        ((sigma, f.left), (ant[:j] + (f.right,) + after, succ)),
-                        f,
-                    )
+                    yield "->l", f, ((ant[j:i], a), (ant[:j] + (b,) + after, succ))
 
 
 def search_sequent(
@@ -476,20 +478,20 @@ def search_sequent(
     if bound < 1:
         raise ValueError("bound must be at least 1.")
     _check_fragment(seq)
-    expand = _expand_exchange if with_exchange else _expand_sequence
-    memo: dict[Goal, tuple[str, object]] = {}
+    calculus = _Calculus(seq, with_exchange)
+    instances, formulas = calculus.instances, calculus.formulas
+    # a goal's proof and its depth, or None and the budget it failed at
+    memo: dict[Goal, tuple[SequentProof | None, float]] = {}
     cuts = 0  # cut-offs below the failures still open on the call stack
 
-    def search(ant: tuple[Formula, ...], succ: Formula | None, budget: int) -> SequentProof | None:
+    def search(goal: Goal, budget: int) -> SequentProof | None:
         nonlocal cuts
         before = cuts
-        key: Goal = (ant, succ)
-        hit = memo.get(key)
+        hit = memo.get(goal)
         if hit is not None:
-            status, value = hit
-            if status == "proved":
-                proof, proof_depth = value  # type: ignore[misc]
-                if proof_depth <= budget:
+            proof, value = hit
+            if proof is not None:
+                if value <= budget:
                     return proof
                 cuts += 1  # a proof exists, so any failure below is a cut-off
             elif value >= budget:  # failed at this depth or deeper already
@@ -498,27 +500,29 @@ def search_sequent(
         if budget < 1:
             cuts += 1
             return None
-        for rule, goals, principal in expand(ant, succ):
+        for rule, principal, premises in instances(*goal):
             children = []
-            for child_ant, child_succ in goals:
-                child = search(child_ant, child_succ, budget - 1)
+            for premise in premises:
+                # most goals met are failures memoised at every budget
+                child = None if memo.get(premise) is _NEVER else search(premise, budget - 1)
                 if child is None:
-                    children = None
                     break
                 children.append(child)
-            if children is not None:
-                proof = SequentProof(Sequent(ant, succ), rule, tuple(children), principal)
-                memo[key] = ("proved", (proof, proof.depth()))
+            else:
+                f = None if principal is None else formulas[principal]
+                proof = SequentProof(calculus.decode(*goal), rule, tuple(children), f)
+                memo[goal] = (proof, proof.depth())
                 cuts = before  # cut-offs under a proof decide nothing
                 return proof
-        # every backward rule shrinks the sequent, so key recurs in no subtree,
+        # every backward rule shrinks the sequent, so goal recurs in no subtree,
         # and a failure memoised at budget or deeper has returned above; one
         # never cut off covered the whole cut-free space and fails at any budget
-        memo[key] = ("failed", budget if cuts != before else _EVERY_BUDGET)
+        memo[goal] = (None, budget) if cuts != before else _NEVER
         return None
 
-    ant = _sorted_ms(seq.antecedent) if with_exchange else seq.antecedent
-    proof = search(ant, seq.succedent, bound)
+    ant, succ = calculus.encode(seq)  # type: ignore[misc]
+    proof = search((_sorted_tuple(ant) if with_exchange else ant, succ), bound)
+    memo.clear()  # search refers to itself, so only a cyclic collection would free it
     return proof, cuts == 0
 
 
@@ -528,17 +532,17 @@ def prove_sequent(seq: Sequent, bound: int, with_exchange: bool = True) -> Seque
 
 
 def validate_proof(proof: SequentProof, with_exchange: bool = True) -> list[str]:
-    """Check that every node instantiates one calculus rule; [] means valid."""
-    expand = _expand_exchange if with_exchange else _expand_sequence
+    """Check that every node instantiates one calculus rule, over the codes
+    of the root's subformulas; [] means valid."""
+    calculus = _Calculus(proof.sequent, with_exchange)
     problems = []
     for node in proof.nodes():
-        ant = node.sequent.antecedent
-        goals = tuple((c.sequent.antecedent, c.sequent.succedent) for c in node.children)
-        ok = any(
-            rule == node.rule and tuple(sub) == goals
-            for rule, sub, _ in expand(ant, node.sequent.succedent)
-        )
-        if not ok:
+        goal = calculus.encode(node.sequent)
+        premises = tuple(calculus.encode(child.sequent) for child in node.children)
+        if goal is None or None in premises or not any(
+            rule == node.rule and tuple(found) == premises
+            for rule, _, found in calculus.instances(*goal)
+        ):
             problems.append(f"bad {node.rule} instance at {node.sequent.render()}")
     return problems
 
@@ -622,19 +626,11 @@ def _interpolate(node: SequentProof, left: Counter) -> Formula:
             two = Counter(with_left)
             two[f.right] += 1
             return BinOp("or", _interpolate(node.children[0], +one), _interpolate(node.children[1], +two))
-        return BinOp(
-            "and",
-            _interpolate(node.children[0], left),
-            _interpolate(node.children[1], left),
-        )
+        return BinOp("and", *(_interpolate(child, left) for child in node.children))
     if rule in ("->r", "\\/r1", "\\/r2", "0l"):
         return _interpolate(node.children[0], left)
     if rule == "/\\r":
-        return BinOp(
-            "and",
-            _interpolate(node.children[0], left),
-            _interpolate(node.children[1], left),
-        )
+        return BinOp("and", *(_interpolate(child, left) for child in node.children))
     if rule == "*r":
         first, second = node.children
         left_first = _take(left, first.sequent.antecedent)

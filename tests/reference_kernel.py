@@ -13,15 +13,17 @@ element powers by repeated squaring and orders by walking powers, the
 ``make_group`` table by decoding and encoding each pair of elements, the
 pushout by closing its kernel under products, and the product of two tables
 by four nested loops.  The sequent section keeps the search loop that
-re-searches every failure at each larger budget, the recursive structural
-key, and the hash of the formula nodes as plain dataclasses, all without
-caches.
+re-searches every failure at each larger budget, its two rule generators
+over formula tuples (one per calculus, with the multiset splits listed in
+full), the recursive structural key, and the hash of the formula nodes as
+plain dataclasses, all without caches or subformula codes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from girale.algebra import (
     AlgHom,
@@ -33,16 +35,9 @@ from girale.algebra import (
     _binary_tables,
 )
 from girale.capacity import guard
-from girale.formula import CONSTS, OPS, Bang, BinOp, Const, Formula, Var
+from girale.formula import CONSTS, ONE, OPS, ZERO, Bang, BinOp, Const, Formula, Var
 from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization
-from girale.proofs import (
-    Goal,
-    Sequent,
-    SequentProof,
-    _check_fragment,
-    _expand_exchange,
-    _expand_sequence,
-)
+from girale.proofs import Sequent, SequentProof, _check_fragment
 
 
 def residuals_from_mult(meet: Table, join: Table, mult: Table) -> Table:
@@ -623,6 +618,136 @@ def plain(f: Formula):
     if isinstance(f, Bang):
         return PlainBang(plain(f.child))
     return PlainBinOp(f.op, plain(f.left), plain(f.right))
+
+
+def _sorted_ms(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
+    return tuple(sorted(formulas, key=structural_key))
+
+
+def _splits(ms: tuple[Formula, ...]) -> Iterator[tuple[tuple[Formula, ...], tuple[Formula, ...]]]:
+    """All multiset splits of a sorted tuple, deterministically."""
+    groups: list[list] = []
+    for f in ms:
+        if groups and groups[-1][0] == f:
+            groups[-1][1] += 1
+        else:
+            groups.append([f, 1])
+    for take in itertools.product(*(range(count + 1) for _, count in groups)):
+        sub: list[Formula] = []
+        rest: list[Formula] = []
+        for (f, count), k in zip(groups, take):
+            sub.extend([f] * k)
+            rest.extend([f] * (count - k))
+        yield tuple(sub), tuple(rest)
+
+
+Goal = tuple[tuple[Formula, ...], Formula | None]
+
+
+def _expand_exchange(ant: tuple[Formula, ...], succ: Formula | None):
+    """Backward rule instances at a multiset sequent: (rule, subgoals, principal)."""
+    if len(ant) == 1 and succ is not None and ant[0] == succ:
+        yield ("id", (), None)
+    if not ant and succ == ONE:
+        yield ("1r", (), None)
+    if len(ant) == 1 and ant[0] == ZERO and succ is None:
+        yield ("0r", (), None)
+    if succ is not None:
+        if isinstance(succ, BinOp):
+            if succ.op == "imp":
+                yield ("->r", ((_sorted_ms(ant + (succ.left,)), succ.right),), None)
+            elif succ.op == "and":
+                yield ("/\\r", ((ant, succ.left), (ant, succ.right)), None)
+            elif succ.op == "or":
+                yield ("\\/r1", ((ant, succ.left),), None)
+                yield ("\\/r2", ((ant, succ.right),), None)
+            elif succ.op == "mul":
+                for sub, rest in _splits(ant):
+                    yield ("*r", ((sub, succ.left), (rest, succ.right)), None)
+        if succ == ZERO:
+            yield ("0l", ((ant, None),), None)
+    seen = set()
+    for i, f in enumerate(ant):
+        if f in seen:
+            continue
+        seen.add(f)
+        rest = ant[:i] + ant[i + 1 :]
+        if f == ONE:
+            yield ("1l", ((rest, succ),), f)
+        elif isinstance(f, BinOp):
+            if f.op == "mul":
+                yield ("*l", ((_sorted_ms(rest + (f.left, f.right)), succ),), f)
+            elif f.op == "and":
+                yield ("/\\l1", ((_sorted_ms(rest + (f.left,)), succ),), f)
+                yield ("/\\l2", ((_sorted_ms(rest + (f.right,)), succ),), f)
+            elif f.op == "or":
+                yield (
+                    "\\/l",
+                    (
+                        (_sorted_ms(rest + (f.left,)), succ),
+                        (_sorted_ms(rest + (f.right,)), succ),
+                    ),
+                    f,
+                )
+            elif f.op == "imp":
+                for sub, keep in _splits(rest):
+                    yield (
+                        "->l",
+                        ((sub, f.left), (_sorted_ms(keep + (f.right,)), succ)),
+                        f,
+                    )
+
+
+def _expand_sequence(ant: tuple[Formula, ...], succ: Formula | None):
+    """Order-sensitive rules; the implication is read as the left residual."""
+    if len(ant) == 1 and succ is not None and ant[0] == succ:
+        yield ("id", (), None)
+    if not ant and succ == ONE:
+        yield ("1r", (), None)
+    if len(ant) == 1 and ant[0] == ZERO and succ is None:
+        yield ("0r", (), None)
+    if succ is not None:
+        if isinstance(succ, BinOp):
+            if succ.op == "imp":
+                yield ("->r", (((succ.left,) + ant, succ.right),), None)
+            elif succ.op == "and":
+                yield ("/\\r", ((ant, succ.left), (ant, succ.right)), None)
+            elif succ.op == "or":
+                yield ("\\/r1", ((ant, succ.left),), None)
+                yield ("\\/r2", ((ant, succ.right),), None)
+            elif succ.op == "mul":
+                for cut in range(len(ant) + 1):
+                    yield ("*r", ((ant[:cut], succ.left), (ant[cut:], succ.right)), None)
+        if succ == ZERO:
+            yield ("0l", ((ant, None),), None)
+    for i, f in enumerate(ant):
+        before = ant[:i]
+        after = ant[i + 1 :]
+        if f == ONE:
+            yield ("1l", ((before + after, succ),), f)
+        elif isinstance(f, BinOp):
+            if f.op == "mul":
+                yield ("*l", ((before + (f.left, f.right) + after, succ),), f)
+            elif f.op == "and":
+                yield ("/\\l1", ((before + (f.left,) + after, succ),), f)
+                yield ("/\\l2", ((before + (f.right,) + after, succ),), f)
+            elif f.op == "or":
+                yield (
+                    "\\/l",
+                    (
+                        (before + (f.left,) + after, succ),
+                        (before + (f.right,) + after, succ),
+                    ),
+                    f,
+                )
+            elif f.op == "imp":
+                for j in range(i, -1, -1):
+                    sigma = ant[j:i]
+                    yield (
+                        "->l",
+                        ((sigma, f.left), (ant[:j] + (f.right,) + after, succ)),
+                        f,
+                    )
 
 
 def prove_sequent(

@@ -144,6 +144,62 @@ def test_prove_exhaustive_failure_is_unprovable(capsys):
     assert code == 0 and doc["result"]["status"] == "unknown"
 
 
+NINE_ATOMS = ", ".join(f"a{i}" for i in range(9)) + " => b * c"
+
+
+def test_prove_over_capacity_countermodel_search_keeps_a_decided_verdict(capsys):
+    # 11 variables over R(Z2) overflow the assignment grid; the search itself
+    # already failed without a cut-off, so the sequent is unprovable
+    code, doc = invoke_json(capsys, ["prove", "--sequent", NINE_ATOMS, "--bound", "12"])
+    assert code == 1
+    assert doc["result"] == {
+        "status": "unprovable",
+        "bound": 12,
+        "note": "certificate: exhaustive cut-free search, never cut off at the bound",
+    }
+    # cut off at bound 1: nothing is decided, so the capacity error stands
+    code, doc = invoke_json(capsys, ["prove", "--sequent", NINE_ATOMS, "--bound", "1"])
+    assert code == 3
+    assert "exceeds" in doc["result"]["error"]
+
+
+def test_prove_without_exchange(capsys):
+    # -> is the left residual: its argument must stand immediately to its left
+    code, doc = invoke_json(
+        capsys, ["prove", "--sequent", "x, x -> y => y", "--bound", "12", "--no-exchange"]
+    )
+    assert code == 0 and doc["result"]["status"] == "proved"
+    assert doc["result"]["revalidated"]
+    code, doc = invoke_json(
+        capsys, ["prove", "--sequent", "x -> y, x => y", "--bound", "12", "--no-exchange"]
+    )
+    assert code == 1 and doc["result"]["status"] == "unprovable"
+    code, doc = invoke_json(capsys, ["prove", "--sequent", "x -> y, x => y", "--bound", "12"])
+    assert code == 0 and doc["result"]["status"] == "proved"
+
+
+# name -> (argv, exit code), captured before the search ran over subformula codes
+PROVE_PINNED = {
+    "prove-arrow-times": (["--sequent", "x, y, x -> z => z * y"], 0),
+    "prove-repeated": (["--sequent", "x, x, x -> y, x -> y => y * y"], 0),
+    "prove-no-exchange": (["--sequent", "x, x -> y => y", "--no-exchange"], 0),
+    "prove-unprovable": (["--sequent", "(x -> 0) -> 0 => x"], 1),
+    "prove-refuted": (["--sequent", "a, a -> b, b -> c, c -> d => d * a"], 1),
+    "prove-cut-off": (["--sequent", "(x -> 0) -> 0 => x", "--bound", "1"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROVE_PINNED))
+def test_prove_output_pinned(capsys, name):
+    """Byte-identical --json for proofs with ->l and *r, with and without
+    exchange, and for unprovable, refuted and cut-off results."""
+    argv, expected = PROVE_PINNED[name]
+    bound = [] if "--bound" in argv else ["--bound", "12"]
+    code, out = invoke(capsys, ["prove", *argv, *bound, "--json"])
+    assert code == expected
+    assert out == (Path(__file__).parent / "data" / f"{name}.json").read_text()
+
+
 @pytest.mark.parametrize(
     "algebra, tag",
     [("broken_signature", "auto"), ("broken_girale", "girale")],

@@ -180,6 +180,54 @@ def test_validate_proof_rejects_corruption():
     assert validate_proof(relabeled)
 
 
+def _leaf(text):
+    return SequentProof(parse_sequent(text), "id", (), None)
+
+
+def test_validate_proof_reports_a_formula_outside_the_root():
+    # w occurs nowhere in the root, so it has no code: a problem, no raise;
+    # read as x, the proof would be valid
+    one = SequentProof(parse_sequent("=> 1"), "1r", ())
+    proof = SequentProof(parse_sequent("x => x * 1"), "*r", (_leaf("w => x"), one))
+    assert validate_proof(proof) == [
+        "bad *r instance at x => x * 1",
+        "bad id instance at w => x",
+    ]
+    assert not validate_proof(SequentProof(proof.sequent, "*r", (_leaf("x => x"), one)))
+    stray_root = SequentProof(parse_sequent("x => x"), "id", (_leaf("w => w"),))
+    assert validate_proof(stray_root)
+
+
+def test_validate_proof_reports_an_unsorted_child_under_exchange():
+    # ->r adds y to a multiset antecedent; only the sorted child is an instance
+    root = parse_sequent("x => y -> x * y")
+    child = Sequent((parse("y"), parse("x")), parse("x * y"))
+    unsorted = SequentProof(root, "->r", (SequentProof(child, "id", ()),))
+    assert validate_proof(unsorted)[0] == "bad ->r instance at x => y -> x * y"
+    proof = prove_sequent(root, 6)
+    assert proof.children[0].sequent.antecedent == (parse("x"), parse("y"))
+    assert not validate_proof(proof)
+    # without exchange y goes in front: the same child is the instance there
+    assert validate_proof(unsorted, with_exchange=False) == [
+        "bad id instance at y, x => x * y"
+    ]
+
+
+def test_multiset_splits_are_lazy_and_in_product_order():
+    from itertools import islice, product
+
+    from girale.proofs import _split_masks
+
+    # 2^40 splits: listing them would not finish
+    first = list(islice(_split_masks(tuple(range(40))), 3))
+    assert first == [(0,) * 40, (0,) * 39 + (1,), (0,) * 38 + (1, 0)]
+    # repeated codes: how many copies of each run, first run slowest
+    masks = list(_split_masks((0, 0, 1, 2, 2, 2)))
+    takes = [(m[0] + m[1], m[2], m[3] + m[4] + m[5]) for m in masks]
+    assert takes == list(product(range(3), range(2), range(4)))
+    assert all(m[:2] in ((0, 0), (1, 0), (1, 1)) for m in masks)
+
+
 def test_returned_proofs_revalidate():
     fixtures = [
         "x, y -> z, x -> y => z",

@@ -20,6 +20,7 @@ from girale.proofs import (
     parse_sequent,
     search_sequent,
     sequent_to_formula,
+    validate_proof,
 )
 from girale.semantics import valid
 
@@ -108,3 +109,27 @@ def test_memo_hits_on_cut_off_failures_cut_off(text):
         proof, exhaustive = search_sequent(seq, bound)
         assert _same(proof, ref.prove_sequent(seq, bound))
         assert proof is not None or not exhaustive
+
+
+# Equal formulas get equal codes, and a multiset split takes the first copies
+# of each run of equal codes; these sequents repeat antecedent formulas.
+REPEATED = [
+    "x, x, x -> y, x -> y => y * y",
+    "x, x, x, x -> y => y * x * x",
+    "x -> y, x, x -> y, x => (y * y) /\\ (x * x)",
+    "p * p, p * p, p -> q => q * (p * p * p)",
+    "p, p, p \\/ q, p \\/ q => (p * p) * (p \\/ q)",
+    "x, x, x -> y => y",
+    "x, x -> y, x, x -> y => y * y",
+]
+
+
+@pytest.mark.parametrize("text", REPEATED)
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_repeated_antecedent_formulas_match_the_reference(text, with_exchange):
+    seq = parse_sequent(text)
+    for bound in range(1, 9):
+        proof, exhaustive = search_sequent(seq, bound, with_exchange)
+        assert _same(proof, ref.prove_sequent(seq, bound, with_exchange))
+        if proof is not None:
+            assert not validate_proof(proof, with_exchange)
