@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib.resources import files
@@ -344,8 +343,7 @@ def _sorted_ms(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
 
 
 Goal = tuple[tuple[int, ...], int | None]  # antecedent and succedent codes
-_EVERY_BUDGET = float("inf")
-_NEVER = (None, _EVERY_BUDGET)  # the memo entry of a goal that fails at every budget
+_NEVER = (None, float("inf"))  # the memo entry of a goal that fails at every budget
 
 
 def _sorted_tuple(codes: Iterable[int]) -> tuple[int, ...]:
@@ -356,20 +354,20 @@ def _split_masks(ant: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The sub-multisets of a sorted code tuple as masks over its positions,
     lazily, in ``itertools.product`` order over how many copies of each
     distinct code they take (the first copies)."""
-    if len(set(ant)) == len(ant):  # one bit per position
+    if len(set(ant)) == len(ant):  # one bit per position: most calls, far cheaper
         return itertools.product((0, 1), repeat=len(ant))
     runs = [sum(1 for _ in run) for _, run in itertools.groupby(ant)]
     choices = [[(1,) * k + (0,) * (n - k) for k in range(n + 1)] for n in runs]
     return map(tuple, map(itertools.chain.from_iterable, itertools.product(*choices)))
 
 
-def _then(
-    first: Goal, ant: tuple[int, ...], mask: tuple, add: tuple, succ: int | None
+def _split(
+    ant: tuple[int, ...], mask: tuple, a: int, add: tuple, succ: int | None
 ) -> Iterator[Goal]:
-    """The premises of a split: ``first``, then, only once it is proved, the
-    positions of ``ant`` that ``mask`` leaves, with ``add``, sorted."""
-    yield first
-    rest = itertools.compress(ant, map(operator.not_, mask))
+    """The premises of a split: the positions of ``ant`` that ``mask`` takes,
+    to prove ``a``; only once that is proved, the rest and ``add``, sorted."""
+    yield tuple(itertools.compress(ant, mask)), a
+    rest = (code for code, taken in zip(ant, mask) if not taken)
     yield _sorted_tuple(itertools.chain(rest, add)), succ
 
 
@@ -438,8 +436,7 @@ class _Calculus:
                 yield "\\/r2", None, ((ant, b),)
             elif kind == "mul" and exchange:
                 for mask in _split_masks(ant):
-                    sub = tuple(itertools.compress(ant, mask))
-                    yield "*r", None, _then((sub, a), ant, mask, (), b)
+                    yield "*r", None, _split(ant, mask, a, (), b)
             elif kind == "mul":
                 for cut in range(len(ant) + 1):
                     yield "*r", None, ((ant[:cut], a), (ant[cut:], b))
@@ -458,12 +455,12 @@ class _Calculus:
                 yield "/\\l1", f, ((arrange(before + (a,) + after), succ),)
                 yield "/\\l2", f, ((arrange(before + (b,) + after), succ),)
             elif kind == "or":
-                yield "\\/l", f, tuple((arrange(before + (c,) + after), succ) for c in (a, b))
+                one, two = arrange(before + (a,) + after), arrange(before + (b,) + after)
+                yield "\\/l", f, ((one, succ), (two, succ))
             elif kind == "imp" and exchange:
                 rest = before + after
                 for mask in _split_masks(rest):
-                    sub = tuple(itertools.compress(rest, mask))
-                    yield "->l", f, _then((sub, a), rest, mask, (b,), succ)
+                    yield "->l", f, _split(rest, mask, a, (b,), succ)
             elif kind == "imp":
                 for j in range(i, -1, -1):
                     yield "->l", f, ((ant[j:i], a), (ant[:j] + (b,) + after, succ))
@@ -495,7 +492,7 @@ def search_sequent(
                     return proof
                 cuts += 1  # a proof exists, so any failure below is a cut-off
             elif value >= budget:  # failed at this depth or deeper already
-                cuts += value != _EVERY_BUDGET
+                cuts += hit is not _NEVER
                 return None
         if budget < 1:
             cuts += 1
@@ -626,11 +623,19 @@ def _interpolate(node: SequentProof, left: Counter) -> Formula:
             two = Counter(with_left)
             two[f.right] += 1
             return BinOp("or", _interpolate(node.children[0], +one), _interpolate(node.children[1], +two))
-        return BinOp("and", *(_interpolate(child, left) for child in node.children))
+        return BinOp(
+            "and",
+            _interpolate(node.children[0], left),
+            _interpolate(node.children[1], left),
+        )
     if rule in ("->r", "\\/r1", "\\/r2", "0l"):
         return _interpolate(node.children[0], left)
     if rule == "/\\r":
-        return BinOp("and", *(_interpolate(child, left) for child in node.children))
+        return BinOp(
+            "and",
+            _interpolate(node.children[0], left),
+            _interpolate(node.children[1], left),
+        )
     if rule == "*r":
         first, second = node.children
         left_first = _take(left, first.sequent.antecedent)
