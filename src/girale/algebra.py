@@ -672,6 +672,14 @@ class _Hom:
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 
+    def require_embedding(self, who: str) -> None:
+        """Raise ValueError naming ``who`` unless the map is an injective homomorphism."""
+        if not self.is_injective():
+            raise ValueError(f"{who} is not injective.")
+        bad = self.violations()
+        if bad:
+            raise ValueError(f"{who} is not a homomorphism ({bad[0].describe()}).")
+
 
 @dataclass(frozen=True)
 class AlgHom(_Hom):
@@ -711,12 +719,18 @@ def enumerate_homs(
     return [AlgHom(source, target, h) for h in maps]
 
 
-def trivial_algebra(signature: Iterable[str] = ()) -> FiniteAlgebra:
-    """The one-element algebra carrying the requested optional symbols."""
-    sig = frozenset(signature)
+def signature_of(symbols: Iterable[str]) -> frozenset[str]:
+    """The symbols as a signature; ValueError if any is not in ``OPTIONAL_SYMBOLS``."""
+    sig = frozenset(symbols)
     bad = sig - frozenset(OPTIONAL_SYMBOLS)
     if bad:
         raise ValueError(f"Unknown signature symbols {sorted(bad)}.")
+    return sig
+
+
+def trivial_algebra(signature: Iterable[str] = ()) -> FiniteAlgebra:
+    """The one-element algebra carrying the requested optional symbols."""
+    sig = signature_of(signature)
     cell: Table = ((0,),)
     return FiniteAlgebra(
         size=1,

@@ -27,13 +27,25 @@ from .group import (
 
 @dataclass(frozen=True)
 class Span:
-    """Two embeddings out of a common algebra: left A -> B, right A -> C."""
+    """Two embeddings out of a common algebra: left A -> B, right A -> C.
+
+    Checked when built, raising ValueError: one signature, legs between the
+    span's algebras, and each leg an injective homomorphism.
+    """
 
     A: FiniteAlgebra
     B: FiniteAlgebra
     C: FiniteAlgebra
     phi1: AlgHom
     phi2: AlgHom
+
+    def __post_init__(self) -> None:
+        if len({self.A.signature, self.B.signature, self.C.signature}) != 1:
+            raise ValueError("Invalid span: signatures differ across the span.")
+        for name, leg, target in (("phi1", self.phi1, self.B), ("phi2", self.phi2, self.C)):
+            if leg.source != self.A or leg.target != target:
+                raise ValueError(f"Invalid span: {name} endpoints do not match the span.")
+            leg.require_embedding(f"Invalid span: {name}")
 
 
 @dataclass(frozen=True)
@@ -73,26 +85,6 @@ class AmalgamReport:
         return [item for item in self.checks if not item.passed]
 
 
-def validate_span(span: Span) -> list[str]:
-    problems = []
-    sigs = {span.A.signature, span.B.signature, span.C.signature}
-    if len(sigs) != 1:
-        problems.append("signatures differ across the span")
-    for name, hom, src, tgt in (
-        ("phi1", span.phi1, span.A, span.B),
-        ("phi2", span.phi2, span.A, span.C),
-    ):
-        if hom.source != src or hom.target != tgt:
-            problems.append(f"{name} endpoints do not match the span")
-            continue
-        bad = hom.violations()
-        if bad:
-            problems.append(f"{name} is not a homomorphism ({bad[0].describe()})")
-        if not hom.is_injective():
-            problems.append(f"{name} is not injective")
-    return problems
-
-
 def _group_data(result: MembershipResult):
     if result.trivial:
         return make_group([1]), None
@@ -122,9 +114,6 @@ def _leg_group_hom(
 
 def amalgamate(span: Span, query: KClassQuery) -> Amalgam:
     """Amalgamate a span of class members; the result is again a member."""
-    problems = validate_span(span)
-    if problems:
-        raise ValueError("Invalid span: " + "; ".join(problems))
     results = {}
     for name, algebra in (("A", span.A), ("B", span.B), ("C", span.C)):
         result = member_K(algebra, query)

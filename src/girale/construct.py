@@ -18,6 +18,7 @@ from .algebra import (
     OPTIONAL_SYMBOLS,
     check_signature_laws,
     residuals_from_mult,
+    signature_of,
 )
 from .capacity import guard
 from .group import (
@@ -38,17 +39,11 @@ def parse_signature(spec: str) -> frozenset[str]:
         return SIGNATURE_FULL
     if text in ("none", "empty", ""):
         return frozenset()
-    parts = frozenset(p.strip() for p in text.split(","))
-    bad = parts - SIGNATURE_FULL
-    if bad:
-        raise ValueError(f"Unknown signature symbols {sorted(bad)}.")
-    return parts
+    return signature_of(p.strip() for p in text.split(","))
 
 
 def build_R(
-    group: FiniteGroup,
-    signature: frozenset[str] | set[str] = frozenset(),
-    max_size: int | None = None,
+    group: FiniteGroup, signature: frozenset[str] | set[str] = frozenset()
 ) -> FiniteAlgebra:
     """Expand a group with a new bottom and top over the flat order.
 
@@ -58,11 +53,8 @@ def build_R(
     Results are cached: the construction is pure and batch sweeps rebuild
     the same expansions constantly.
     """
-    sig = frozenset(signature)
-    bad = sig - SIGNATURE_FULL
-    if bad:
-        raise ValueError(f"Unknown signature symbols {sorted(bad)}.")
-    guard(group.size, "group expansion", max_size)
+    sig = signature_of(signature)
+    guard(group.size, "group expansion")
     return _build_R_cached(group, sig)
 
 
@@ -161,10 +153,7 @@ def lift_embedding(
     alpha: GroupHom, signature: frozenset[str] | set[str] = frozenset()
 ) -> AlgHom:
     """Extend a group embedding to the expansions, fixing bot and top (not re-checked)."""
-    if not alpha.is_injective():
-        raise ValueError("lift_embedding requires an injective homomorphism.")
-    if alpha.violations():
-        raise ValueError("lift_embedding requires a valid homomorphism.")
+    alpha.require_embedding("The group map to lift_embedding")
     source = build_R(alpha.source, signature)
     target = build_R(alpha.target, signature)
     h = alpha.target.size
@@ -173,10 +162,7 @@ def lift_embedding(
 
 def restrict_embedding(beta: AlgHom) -> GroupHom:
     """Cut an embedding between expansions down to the group subreducts (not re-checked)."""
-    if not beta.is_injective():
-        raise ValueError("restrict_embedding requires an injective homomorphism.")
-    if beta.violations():
-        raise ValueError("restrict_embedding requires a valid homomorphism.")
+    beta.require_embedding("The algebra map to restrict_embedding")
     src = split_R(beta.source)
     tgt = split_R(beta.target)
     tgt_index = {a: i for i, a in enumerate(tgt.to_algebra)}
@@ -201,9 +187,7 @@ class KClassQuery:
     def __post_init__(self) -> None:
         if len(self.primes) == 0:
             raise ValueError("The prime set must be nonempty.")
-        bad = self.signature - SIGNATURE_FULL
-        if bad:
-            raise ValueError(f"Unknown signature symbols {sorted(bad)}.")
+        signature_of(self.signature)
 
 
 @dataclass(frozen=True)

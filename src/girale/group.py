@@ -28,7 +28,7 @@ from .algebra import (
     _row_blocks,
     _search_homs,
 )
-from .capacity import CapacityError, guard
+from .capacity import CapacityError, guard, max_size
 
 
 def is_prime(n: int) -> bool:
@@ -154,12 +154,10 @@ def _trusted_group(table: Sequence[Sequence[int]], names: Sequence[str]) -> Fini
 
 
 def group_from_table(
-    table: Sequence[Sequence[int]],
-    element_names: Sequence[str] | None = None,
-    max_size: int | None = None,
+    table: Sequence[Sequence[int]], element_names: Sequence[str] | None = None
 ) -> FiniteGroup:
     """Validate a Cayley table from outside and wrap it as a group."""
-    guard(len(table), "group", max_size)
+    guard(len(table), "group")
     _validate_group(table)
     n = len(table)
     if element_names is None:
@@ -169,9 +167,7 @@ def group_from_table(
     return _trusted_group(table, element_names)
 
 
-def make_group(
-    invariant_factors: Sequence[int], max_size: int | None = None
-) -> FiniteGroup:
+def make_group(invariant_factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders (a group by construction)."""
     factors = [int(d) for d in invariant_factors]
     if not factors or any(d < 1 for d in factors):
@@ -179,7 +175,7 @@ def make_group(
     n = 1
     for d in factors:
         n *= d
-    guard(n, "group", max_size)
+    guard(n, "group")
 
     nontrivial = [d for d in factors if d > 1]
     table: Table = ((0,),)
@@ -320,10 +316,7 @@ def subgroups(group: FiniteGroup) -> list[frozenset[int]]:
 
 def is_essential(embedding: GroupHom) -> bool:
     """True iff the image meets every nontrivial subgroup of the target nontrivially."""
-    if not embedding.is_injective():
-        raise ValueError("is_essential requires an injective homomorphism.")
-    if embedding.violations():
-        raise ValueError("is_essential requires a valid homomorphism.")
+    embedding.require_embedding("The map to is_essential")
     target = embedding.target
     image = set(embedding.mapping)
     for sub in subgroups(target):
@@ -352,14 +345,10 @@ def pushout(f: GroupHom, g: GroupHom) -> Pushout:
     """
     if f.source != g.source:
         raise ValueError("Pushout legs must share their source.")
-    if not f.is_injective() or not g.is_injective():
-        raise ValueError("Pushout requires injective legs.")
-    if f.violations() or g.violations():
-        raise ValueError("Pushout requires valid homomorphisms.")
+    f.require_embedding("Pushout leg f")
+    g.require_embedding("Pushout leg g")
     left, right = f.target, g.target
     n_left, n_right = left.size, right.size
-    from .capacity import max_size
-
     bound = max_size()
     if n_left * n_right > bound * bound:
         raise CapacityError(

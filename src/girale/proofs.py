@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from typing import Iterable, Iterator, Sequence
 
+from .algebra import OPTIONAL_SYMBOLS
 from .formula import (
     Bang,
     BinOp,
@@ -115,7 +116,7 @@ class HilbertSystem:
 
 
 def _optional_symbols(f: Formula) -> frozenset[str]:
-    return frozenset(connectives(f)) & frozenset({"0", "bot", "top", "bang"})
+    return frozenset(connectives(f)) & frozenset(OPTIONAL_SYMBOLS)
 
 
 SYSTEMS: dict[str, HilbertSystem] = {
@@ -669,7 +670,7 @@ def _interpolate(node: SequentProof, left: Counter) -> Formula:
 
 
 def _refutation_catalog() -> list:
-    """R(Z2) and R(Z3) over {0}: the default algebras that refute an unproved
+    """R(Z2) and R(Z3) over {0}: the algebras that refute an unproved
     sequent and check an extracted interpolant."""
     from .construct import build_R
     from .group import make_group
@@ -678,18 +679,14 @@ def _refutation_catalog() -> list:
 
 
 def extract_craig(
-    proof: SequentProof,
-    left_variables: Iterable[str],
-    right_variables: Iterable[str],
-    algebras: Sequence | None = None,
-    reprove_bound: int | None = None,
+    proof: SequentProof, left_variables: Iterable[str], right_variables: Iterable[str]
 ) -> CraigResult:
     """Split a cut-free proof along a variable partition and verify both halves.
 
     Antecedent formulas go to the side whose variable set covers them (ties
     prefer the left); the succedent must fit the right side.  The extracted
     midpoint is verified by re-running proof search on both half-sequents and
-    by semantic validity on a small default catalog.
+    by semantic validity on ``_refutation_catalog``.
     """
     problems = validate_proof(proof, with_exchange=True)
     if problems:
@@ -726,18 +723,15 @@ def extract_craig(
 
     left_sequent = Sequent(_sorted_ms(left_ms.elements()), delta)
     right_sequent = Sequent(_sorted_ms(list(right_ms.elements()) + [delta]), root.succedent)
-    if reprove_bound is None:
-        reprove_bound = 2 * proof.depth() + formula_size(delta) + 6
+    reprove_bound = 2 * proof.depth() + formula_size(delta) + 6
     left_proof = prove_sequent(left_sequent, reprove_bound)
     right_proof = prove_sequent(right_sequent, reprove_bound)
 
-    if algebras is None:
-        algebras = _refutation_catalog()
     from .semantics import valid
 
     semantic_ok = all(
         valid(A, sequent_to_formula(half)).holds
-        for A in algebras
+        for A in _refutation_catalog()
         for half in (left_sequent, right_sequent)
     )
     return CraigResult(

@@ -28,6 +28,7 @@ from .formula import (
     depth as formula_depth,
     free_variables,
     render,
+    size as formula_size,
 )
 
 MAX_GRID = 4_000_000
@@ -354,9 +355,7 @@ def interpolant_search(
         if key in seen:
             return None
         seen.add(key)
-        by_size.setdefault(
-            sum(1 for _ in _iter_nodes(delta)), []
-        ).append(delta)
+        by_size.setdefault(formula_size(delta), []).append(delta)
         tried += 1
         sides = ((left_judgment, phi, delta), (right_judgment, delta, psi))
         if all(consequence(algebras, *entails(a, b)).holds for _, a, b in sides):
@@ -402,12 +401,3 @@ def interpolant_search(
                     return hit
 
     return InterpolationResult(status="exhausted", mode=mode, candidates_tried=tried)
-
-
-def _iter_nodes(f: Formula):
-    yield f
-    if isinstance(f, Bang):
-        yield from _iter_nodes(f.child)
-    elif isinstance(f, BinOp):
-        yield from _iter_nodes(f.left)
-        yield from _iter_nodes(f.right)

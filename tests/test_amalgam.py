@@ -104,9 +104,30 @@ def test_amalgamate_rejects_broken_span():
     mapping = list(range(algebra.size))
     mapping[0], mapping[1] = mapping[1], mapping[0]
     crooked = AlgHom(algebra, algebra, tuple(mapping))  # moves the unit: not a hom
-    span = Span(algebra, algebra, algebra, crooked, identity_alg_hom(algebra))
     with pytest.raises(ValueError):
-        amalgamate(span, query)
+        amalgamate(Span(algebra, algebra, algebra, crooked, identity_alg_hom(algebra)), query)
+
+
+def test_span_rejects_bad_forms_when_built():
+    b, c = build_R(Z3), build_R(Z5)
+    t = trivial_algebra()
+    pointed = build_R(Z5, frozenset({"0"}))
+    with pytest.raises(ValueError, match="signatures differ"):
+        Span(t, b, pointed, unit_map(b), AlgHom(t, pointed, (pointed.one,)))
+    with pytest.raises(ValueError, match="phi2 endpoints"):
+        Span(t, b, c, unit_map(b), unit_map(b))
+    mapping = list(range(b.size))
+    mapping[0], mapping[1] = mapping[1], mapping[0]
+    with pytest.raises(ValueError, match=r"phi1 is not a homomorphism \(hom-one"):
+        Span(b, b, b, AlgHom(b, b, tuple(mapping)), identity_alg_hom(b))
+    collapse = AlgHom(b, t, (0,) * b.size)
+    assert not collapse.violations()
+    with pytest.raises(ValueError, match="phi2 is not injective"):
+        Span(b, b, t, identity_alg_hom(b), collapse)
+
+
+def test_catalog_spans_build():
+    assert sum(1 for _ in span_catalog(PrimeSet.of(2), frozenset(), 4)) == 17
 
 
 def test_verify_amalgam_catches_corruption():

@@ -388,6 +388,10 @@ MALFORMED = {
         ["amalgamate", "--span", "{file}", "--primes", "2"],
         {"A": ALG, "B": ALG, "C": ALG, "phi1": [0.0, 1, 2, 3], "phi2": [0, 1, 2, 3]},
     ),
+    "span-leg-not-hom": (
+        ["amalgamate", "--span", "{file}", "--primes", "2"],
+        {"A": ALG, "B": ALG, "C": ALG, "phi1": [1, 0, 2, 3], "phi2": [0, 1, 2, 3]},
+    ),
     "derivation-steps-number": (["check-proof", "--file", "{file}"], {"steps": 5}),
     "derivation-formula-number": (["check-proof", "--file", "{file}"], [{"formula": 3}]),
     "derivation-refs-string": (

@@ -1,6 +1,6 @@
 import pytest
 
-from girale.algebra import check_signature_laws, enumerate_homs
+from girale.algebra import check_signature_laws, enumerate_homs, trivial_algebra
 from girale.capacity import CapacityError
 from girale.construct import (
     KClassQuery,
@@ -26,6 +26,22 @@ def test_parse_signature():
     assert parse_signature("0,bang") == frozenset({"0", "bang"})
     with pytest.raises(ValueError):
         parse_signature("0,whatnot")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_signature("0,whatnot"),
+        lambda: build_R(Z2, {"0", "whatnot"}),
+        lambda: KClassQuery(PrimeSet.of(2), frozenset({"0", "whatnot"})),
+        lambda: trivial_algebra({"0", "whatnot"}),
+    ],
+    ids=["parse_signature", "build_R", "KClassQuery", "trivial_algebra"],
+)
+def test_unknown_symbol_message_is_shared(make):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == "Unknown signature symbols ['whatnot']."
 
 
 def test_build_R_z3_full():
@@ -66,9 +82,10 @@ def test_build_R_z2_imp_table():
     assert algebra.imp[one][a] == a
 
 
-def test_build_R_capacity():
+def test_build_R_capacity(monkeypatch):
+    monkeypatch.setenv("GIRALE_MAX_SIZE", "2")
     with pytest.raises(CapacityError):
-        build_R(Z3, max_size=2)
+        build_R(Z3)
 
 
 def test_term_definability_full_signature():

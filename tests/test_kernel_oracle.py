@@ -156,9 +156,10 @@ def test_dtype_boundary(n, dtype):
     )
 
 
-def test_group_dtype_boundary():
+def test_group_dtype_boundary(monkeypatch):
     n = 257
-    table = [list(r) for r in make_group([n], max_size=n).table]
+    monkeypatch.setenv("GIRALE_MAX_SIZE", str(n))
+    table = [list(r) for r in make_group([n]).table]
     _validate_group(table)
     broken = [list(r) for r in table]
     broken[n - 2][n - 1] = broken[n - 1][n - 2] = n - 4  # commutative, inverses kept
