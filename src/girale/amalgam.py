@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import AlgHom, FiniteAlgebra, trivial_algebra
-from .construct import KClassQuery, MembershipResult, build_R, lift_embedding, member_K
+from .construct import KClassQuery, MembershipResult, _restrict, build_R, lift_embedding, member_K
 from .group import (
     FiniteGroup,
     GroupHom,
@@ -85,31 +85,15 @@ class AmalgamReport:
         return [item for item in self.checks if not item.passed]
 
 
-def _group_data(result: MembershipResult):
-    if result.trivial:
-        return make_group([1]), None
-    return result.group, result.canon
-
-
 def _leg_group_hom(
     src: MembershipResult, phi: AlgHom, tgt: MembershipResult
 ) -> GroupHom:
-    """Group embedding induced on subreducts by an algebra embedding.
-
-    ``build_R`` puts group element g at index g, so it is read off the canonical isomorphisms.
-    """
-    tgt_group, tgt_canon = _group_data(tgt)
-    src_group, src_canon = _group_data(src)
-    if src_canon is None:
-        return GroupHom(src_group, tgt_group, (tgt_group.identity,))
-    assert tgt_canon is not None
-    inverse = [0] * len(src_canon.mapping)
-    for x, v in enumerate(src_canon.mapping):
-        inverse[v] = x
-    mapping = tuple(
-        tgt_canon.mapping[phi.mapping[inverse[g]]] for g in range(src_group.size)
-    )
-    return GroupHom(src_group, tgt_group, mapping)
+    """Group embedding induced on subreducts by an algebra embedding."""
+    if src.trivial:  # the unit map out of the trivial algebra, on the trivial group
+        target = tgt.group or make_group([1])
+        return GroupHom(make_group([1]), target, (target.identity,))
+    assert src.parts is not None and tgt.parts is not None
+    return _restrict(phi, src.parts, tgt.parts)
 
 
 def amalgamate(span: Span, query: KClassQuery) -> Amalgam:

@@ -68,13 +68,21 @@ class _Inputs:
     def __init__(self) -> None:
         self.hashes: dict[str, str] = {}
 
+    def _record(self, key: str, data: bytes) -> None:
+        """Hash under the key; a repeated key gets the suffix #2, #3, ..."""
+        unique, k = key, 1
+        while unique in self.hashes:
+            k += 1
+            unique = f"{key}#{k}"
+        self.hashes[unique] = _sha256(data)
+
     def text(self, label: str, value: str) -> str:
-        self.hashes[label] = _sha256(value.encode("utf-8"))
+        self._record(label, value.encode("utf-8"))
         return value
 
     def file(self, label: str, path: str) -> bytes:
         data = Path(path).read_bytes()
-        self.hashes[f"{label}:{Path(path).name}"] = _sha256(data)
+        self._record(f"{label}:{Path(path).name}", data)
         return data
 
     def json_file(self, label: str, path: str) -> dict | list:

@@ -64,39 +64,16 @@ def _build_R_cached(group: FiniteGroup, sig: frozenset[str]) -> FiniteAlgebra:
     bot = n
     top = n + 1
     size = n + 2
-
-    def meet_of(a: int, b: int) -> int:
-        if a == b:
-            return a
-        if a == bot or b == bot:
-            return bot
-        if a == top:
-            return b
-        if b == top:
-            return a
-        return bot
-
-    def join_of(a: int, b: int) -> int:
-        if a == b:
-            return a
-        if a == top or b == top:
-            return top
-        if a == bot:
-            return b
-        if b == bot:
-            return a
-        return top
-
-    def mult_of(a: int, b: int) -> int:
-        if a == bot or b == bot:
-            return bot
-        if a == top or b == top:
-            return top
-        return group.mul(a, b)
-
-    meet = tuple(tuple(meet_of(a, b) for b in range(size)) for a in range(size))
-    join = tuple(tuple(join_of(a, b) for b in range(size)) for a in range(size))
-    mult = tuple(tuple(mult_of(a, b) for b in range(size)) for a in range(size))
+    every = tuple(range(size))
+    # rows in layout order: a group element meets itself and top to itself and
+    # the rest to bot, and joins dually; bot absorbs every product, and top
+    # every product but the one with bot
+    meet = tuple(tuple(a if b in (a, top) else bot for b in every) for a in range(n))
+    join = tuple(tuple(a if b in (a, bot) else top for b in every) for a in range(n))
+    mult = tuple(row + (bot, top) for row in group.table)
+    meet += ((bot,) * size, every)
+    join += (every, (top,) * size)
+    mult += ((bot,) * size, (top,) * n + (bot, top))
     imp = residuals_from_mult(meet, join, mult)
     one = group.identity
     names = tuple(group.element_names) + ("bot", "top")
@@ -125,28 +102,60 @@ class RParts:
     to_algebra: tuple[int, ...]  # group index -> algebra index
 
 
+class NotAnExpansion(ValueError):
+    """The algebra is not shaped like ``build_R`` output: the sentence or law
+    that fails, and its witness elements."""
+
+    def __init__(self, failed: str, witness: tuple[int, ...] = ()) -> None:
+        super().__init__(f"Not an expansion of a group: {failed}, witness {list(witness)}.")
+        self.failed = failed
+        self.witness = witness
+
+
 def split_R(A: FiniteAlgebra) -> RParts:
-    """Locate the bounds and extract the group living on the rest of the universe."""
-    n = A.size
-    least = [a for a in range(n) if all(A.leq(a, b) for b in range(n))]
-    greatest = [a for a in range(n) if all(A.leq(b, a) for b in range(n))]
-    if len(least) != 1 or len(greatest) != 1:
-        raise ValueError("Algebra has no unique bounds; not an expansion of a group.")
-    bot, top = least[0], greatest[0]
-    if bot == top:
-        raise ValueError("Degenerate order; not an expansion of a group.")
-    interior = [a for a in range(n) if a not in (bot, top)]
-    if A.one not in interior:
-        raise ValueError("Unit sits on a bound; not an expansion of a group.")
+    """Check that A is shaped like ``build_R`` output and take it apart.
+
+    The order of the checks fixes the reported failure: the class laws (a
+    plain ValueError), then unit-is-a-bound, the first-order sentences 1, 2/3
+    and 4 pinning the absorbing top and the flat bounded order, and the group
+    laws on the interior (each a ``NotAnExpansion``).
+    """
+    laws = check_signature_laws(A)
+    if not laws.passed:
+        raise ValueError(f"Algebra fails its class laws: {laws.summary()}.")
+    bot = top = 0
+    for a in range(A.size):
+        bot = A.meet[bot][a]
+        top = A.join[top][a]
+    one = A.one
+    if one in (bot, top):
+        raise NotAnExpansion("unit-is-a-bound", (one,))
+
+    interior = tuple(a for a in range(A.size) if a not in (bot, top))
+    for x in interior:
+        if A.mult[x][A.imp[x][one]] != one:
+            raise NotAnExpansion("sentence-1", (x,))
+    for x in range(A.size):
+        for y in range(A.size):
+            if x == y:
+                continue
+            if x != bot and y != bot and A.join[x][y] != top:
+                raise NotAnExpansion("sentence-2", (x, y))
+            if x != top and y != top and A.meet[x][y] != bot:
+                raise NotAnExpansion("sentence-3", (x, y))
+    for x in range(A.size):
+        if x != bot and A.mult[x][top] != top:
+            raise NotAnExpansion("sentence-4", (x,))
+
+    # the interior is closed under the product: by the laws and sentences 1 and 4,
+    # y = (x -> 1) * (x * y), so x * y on a bound would put y on it
     index = {a: i for i, a in enumerate(interior)}
-    for a in interior:
-        for b in interior:
-            if A.mult[a][b] not in index:
-                raise ValueError("Interior is not closed under the product.")
     table = [[index[A.mult[a][b]] for b in interior] for a in interior]
-    names = [A.name_of(a) for a in interior]
-    group = group_from_table(table, names)
-    return RParts(bot=bot, top=top, group=group, to_algebra=tuple(interior))
+    try:
+        group = group_from_table(table, [A.name_of(a) for a in interior])
+    except ValueError:
+        raise NotAnExpansion("group-laws") from None
+    return RParts(bot=bot, top=top, group=group, to_algebra=interior)
 
 
 def lift_embedding(
@@ -160,21 +169,23 @@ def lift_embedding(
     return AlgHom(source, target, tuple(alpha.mapping) + (h, h + 1))
 
 
-def restrict_embedding(beta: AlgHom) -> GroupHom:
-    """Cut an embedding between expansions down to the group subreducts (not re-checked)."""
-    beta.require_embedding("The algebra map to restrict_embedding")
-    src = split_R(beta.source)
-    tgt = split_R(beta.target)
+def _restrict(phi: AlgHom, src: RParts, tgt: RParts) -> GroupHom:
+    """The group map that an embedding between expansions induces on their group parts."""
     tgt_index = {a: i for i, a in enumerate(tgt.to_algebra)}
     mapping = []
-    for g in range(src.group.size):
-        image = beta.mapping[src.to_algebra[g]]
-        if image not in tgt_index:
+    for a in src.to_algebra:
+        if phi.mapping[a] not in tgt_index:
             raise ValueError(
                 "Internal inconsistency: embedding sends a group element to a bound."
             )
-        mapping.append(tgt_index[image])
+        mapping.append(tgt_index[phi.mapping[a]])
     return GroupHom(src.group, tgt.group, tuple(mapping))
+
+
+def restrict_embedding(beta: AlgHom) -> GroupHom:
+    """Cut an embedding between expansions down to the group subreducts (not re-checked)."""
+    beta.require_embedding("The algebra map to restrict_embedding")
+    return _restrict(beta, split_R(beta.source), split_R(beta.target))
 
 
 @dataclass(frozen=True)
@@ -194,10 +205,14 @@ class KClassQuery:
 class MembershipResult:
     member: bool
     trivial: bool = False
-    group: FiniteGroup | None = None
+    parts: RParts | None = None  # the bounds and group of a nontrivial expansion
     canon: AlgHom | None = None  # isomorphism onto the rebuilt expansion
     failed: str | None = None
     witness: tuple[int, ...] = ()
+
+    @property
+    def group(self) -> FiniteGroup | None:
+        return self.parts.group if self.parts is not None else None
 
     def describe(self) -> str:
         if self.member and self.trivial:
@@ -212,71 +227,39 @@ class MembershipResult:
 def member_K(A: FiniteAlgebra, query: KClassQuery) -> MembershipResult:
     """Decide membership in the class generated over the prime set.
 
-    A nontrivial member must look like ``build_R`` output: checked by the
-    first-order sentences pinning the flat bounded order and absorbing top,
-    the group laws on the interior, and the torsion quasi-equations.  A yes
-    answer carries the reconstructed group and a verified isomorphism, so it
-    can be independently re-checked.  Pure, so results are cached.
+    A nontrivial member must pass ``split_R``, the shape of ``build_R``
+    output, and the torsion quasi-equations.  A yes answer carries the
+    reconstructed group and a verified isomorphism, so it can be
+    independently re-checked.  Pure, so results are cached.
     """
     if A.signature != query.signature:
         raise ValueError(
             f"Algebra signature {sorted(A.signature)} does not match the query "
             f"signature {sorted(query.signature)}."
         )
-    laws = check_signature_laws(A)
-    if not laws.passed:
-        raise ValueError(f"Algebra fails its class laws: {laws.summary()}.")
-    if A.size == 1:
+    if A.size == 1:  # every one-element algebra satisfies its laws
         return MembershipResult(member=True, trivial=True)
-
-    bot = 0
-    top = 0
-    for a in range(A.size):
-        bot = A.meet[bot][a]
-        top = A.join[top][a]
-    one = A.one
-    if one in (bot, top):
-        return MembershipResult(member=False, failed="unit-is-a-bound", witness=(one,))
-
-    interior = [a for a in range(A.size) if a not in (bot, top)]
-    for x in interior:
-        if A.mult[x][A.imp[x][one]] != one:
-            return MembershipResult(member=False, failed="sentence-1", witness=(x,))
-    for x in range(A.size):
-        for y in range(A.size):
-            if x == y:
-                continue
-            if x != bot and y != bot and A.join[x][y] != top:
-                return MembershipResult(member=False, failed="sentence-2", witness=(x, y))
-            if x != top and y != top and A.meet[x][y] != bot:
-                return MembershipResult(member=False, failed="sentence-3", witness=(x, y))
-    for x in range(A.size):
-        if x != bot and A.mult[x][top] != top:
-            return MembershipResult(member=False, failed="sentence-4", witness=(x,))
-
-    # split_R can fail only on the group laws: by the laws and sentences 1 and 4,
-    # y = (x -> 1) * (x * y), so x * y on a bound would put y on it.
     try:
-        group = split_R(A).group
-    except ValueError:
-        return MembershipResult(member=False, failed="group-laws", witness=())
+        parts = split_R(A)
+    except NotAnExpansion as failure:
+        return MembershipResult(member=False, failed=failure.failed, witness=failure.witness)
 
+    group = parts.group
     sigma = check_sigma(group, query.primes)
     if not sigma.passed:
         assert sigma.witness_element is not None and sigma.witness_prime is not None
         return MembershipResult(
             member=False,
             failed=f"sigma-{sigma.witness_prime}",
-            witness=(interior[sigma.witness_element],),
+            witness=(parts.to_algebra[sigma.witness_element],),
         )
 
-    rebuilt = build_R(group, query.signature)
     canon_map = [0] * A.size
-    for g, a in enumerate(interior):
+    for g, a in enumerate(parts.to_algebra):
         canon_map[a] = g
-    canon_map[bot] = group.size
-    canon_map[top] = group.size + 1
-    canon = AlgHom(A, rebuilt, tuple(canon_map))
-    if canon.violations() or len(set(canon_map)) != A.size:
+    canon_map[parts.bot] = group.size
+    canon_map[parts.top] = group.size + 1
+    canon = AlgHom(A, build_R(group, query.signature), tuple(canon_map))
+    if canon.violations():
         return MembershipResult(member=False, failed="structure-mismatch", witness=())
-    return MembershipResult(member=True, group=group, canon=canon)
+    return MembershipResult(member=True, parts=parts, canon=canon)

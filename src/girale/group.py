@@ -9,6 +9,7 @@ homomorphisms, which serve as the finite amalgamation oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -172,9 +173,7 @@ def make_group(invariant_factors: Sequence[int]) -> FiniteGroup:
     factors = [int(d) for d in invariant_factors]
     if not factors or any(d < 1 for d in factors):
         raise ValueError(f"Factors must be integers >= 1, got {invariant_factors}.")
-    n = 1
-    for d in factors:
-        n *= d
+    n = math.prod(factors)
     guard(n, "group")
 
     nontrivial = [d for d in factors if d > 1]
@@ -416,14 +415,7 @@ def abelian_group_catalog(max_order: int) -> list[tuple[int, ...]]:
             d += 1
 
     extend((), 1)
-    return sorted(out, key=lambda c: (_chain_order(c), c))
-
-
-def _chain_order(chain: tuple[int, ...]) -> int:
-    n = 1
-    for d in chain:
-        n *= d
-    return n
+    return sorted(out, key=lambda c: (math.prod(c), c))
 
 
 def group_to_json(group: FiniteGroup) -> dict:

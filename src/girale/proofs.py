@@ -579,17 +579,6 @@ class CraigResult:
     semantically_valid: bool
 
 
-def _take(available: Counter, wanted: Iterable[Formula]) -> Counter:
-    """Greedy sub-multiset of `available` along `wanted`, by formula value."""
-    taken: Counter = Counter()
-    pool = Counter(available)
-    for f in wanted:
-        if pool[f] > 0:
-            pool[f] -= 1
-            taken[f] += 1
-    return taken
-
-
 def _interpolate(node: SequentProof, left: Counter) -> Formula:
     rule = node.rule
     ant = node.sequent.antecedent
@@ -639,7 +628,7 @@ def _interpolate(node: SequentProof, left: Counter) -> Formula:
         )
     if rule == "*r":
         first, second = node.children
-        left_first = _take(left, first.sequent.antecedent)
+        left_first = left & Counter(first.sequent.antecedent)
         left_second = +(Counter(left) - left_first)
         return BinOp(
             "mul",
@@ -655,7 +644,7 @@ def _interpolate(node: SequentProof, left: Counter) -> Formula:
         if on_left:
             remaining[f] -= 1
         remaining = +remaining
-        left_sigma = _take(remaining, first.sequent.antecedent)
+        left_sigma = remaining & Counter(first.sequent.antecedent)
         left_keep = +(remaining - left_sigma)
         if on_left:
             flipped = Counter(first.sequent.antecedent) - left_sigma

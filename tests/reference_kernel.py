@@ -16,7 +16,10 @@ by four nested loops.  The sequent section keeps the search loop that
 re-searches every failure at each larger budget, its two rule generators
 over formula tuples (one per calculus, with the multiset splits listed in
 full), the recursive structural key, and the hash of the formula nodes as
-plain dataclasses, all without caches or subformula codes.
+plain dataclasses, all without caches or subformula codes.  The last
+section keeps ``build_R`` with one function per operation called on every
+cell, and ``member_K`` with its own bound search and copy of the sentences
+over a ``split_R`` that scans for the bounds and checks the interior closed.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from girale.algebra import (
 )
 from girale.capacity import guard
 from girale.formula import CONSTS, ONE, OPS, ZERO, Bang, BinOp, Const, Formula, Var
-from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization
+from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization, group_from_table
 from girale.proofs import Sequent, SequentProof, _check_fragment
 
 
@@ -792,3 +795,144 @@ def prove_sequent(
 
     ant = tuple(sorted(seq.antecedent, key=structural_key)) if with_exchange else seq.antecedent
     return search(ant, seq.succedent, bound)
+
+
+# --- group expansions: build_R by one function per operation, and membership
+# by a bound search, its own copy of the sentences and a separate split
+
+
+def build_R(group: FiniteGroup, sig: frozenset[str]) -> FiniteAlgebra:
+    """The expansion of the group with bot at n and top at n + 1, cell by cell."""
+    n = group.size
+    bot = n
+    top = n + 1
+    size = n + 2
+
+    def meet_of(a: int, b: int) -> int:
+        if a == b:
+            return a
+        if a == bot or b == bot:
+            return bot
+        if a == top:
+            return b
+        if b == top:
+            return a
+        return bot
+
+    def join_of(a: int, b: int) -> int:
+        if a == b:
+            return a
+        if a == top or b == top:
+            return top
+        if a == bot:
+            return b
+        if b == bot:
+            return a
+        return top
+
+    def mult_of(a: int, b: int) -> int:
+        if a == bot or b == bot:
+            return bot
+        if a == top or b == top:
+            return top
+        return group.mul(a, b)
+
+    meet = tuple(tuple(meet_of(a, b) for b in range(size)) for a in range(size))
+    join = tuple(tuple(join_of(a, b) for b in range(size)) for a in range(size))
+    mult = tuple(tuple(mult_of(a, b) for b in range(size)) for a in range(size))
+    imp = residuals_from_mult(meet, join, mult)
+    one = group.identity
+    names = tuple(group.element_names) + ("bot", "top")
+    return FiniteAlgebra(
+        size=size,
+        meet=meet,
+        join=join,
+        mult=mult,
+        imp=imp,
+        one=one,
+        zero=one if "0" in sig else None,
+        bot=bot if "bot" in sig else None,
+        top=top if "top" in sig else None,
+        bang=tuple(meet[a][one] for a in range(size)) if "bang" in sig else None,
+        names=names,
+    )
+
+
+def split_R(A: FiniteAlgebra) -> tuple[int, int, FiniteGroup, tuple[int, ...]]:
+    """(bot, top, group, interior) by scanning for the unique least and greatest
+    elements and checking that the interior is closed under the product."""
+    n = A.size
+    least = [a for a in range(n) if all(A.leq(a, b) for b in range(n))]
+    greatest = [a for a in range(n) if all(A.leq(b, a) for b in range(n))]
+    if len(least) != 1 or len(greatest) != 1:
+        raise ValueError("Algebra has no unique bounds; not an expansion of a group.")
+    bot, top = least[0], greatest[0]
+    if bot == top:
+        raise ValueError("Degenerate order; not an expansion of a group.")
+    interior = [a for a in range(n) if a not in (bot, top)]
+    if A.one not in interior:
+        raise ValueError("Unit sits on a bound; not an expansion of a group.")
+    index = {a: i for i, a in enumerate(interior)}
+    for a in interior:
+        for b in interior:
+            if A.mult[a][b] not in index:
+                raise ValueError("Interior is not closed under the product.")
+    table = [[index[A.mult[a][b]] for b in interior] for a in interior]
+    names = [A.name_of(a) for a in interior]
+    return bot, top, group_from_table(table, names), tuple(interior)
+
+
+def member_K(A: FiniteAlgebra, primes: PrimeSet) -> tuple:
+    """(member, trivial, failed, witness, group, canon mapping) of membership in
+    the class generated over the primes, in the signature of A; raises
+    ValueError when A fails its laws."""
+    laws = check_signature_laws(A)
+    if not laws.passed:
+        raise ValueError(f"Algebra fails its class laws: {laws.summary()}.")
+    if A.size == 1:
+        return True, True, None, (), None, None
+
+    bot = 0
+    top = 0
+    for a in range(A.size):
+        bot = A.meet[bot][a]
+        top = A.join[top][a]
+    one = A.one
+    if one in (bot, top):
+        return False, False, "unit-is-a-bound", (one,), None, None
+
+    interior = [a for a in range(A.size) if a not in (bot, top)]
+    for x in interior:
+        if A.mult[x][A.imp[x][one]] != one:
+            return False, False, "sentence-1", (x,), None, None
+    for x in range(A.size):
+        for y in range(A.size):
+            if x == y:
+                continue
+            if x != bot and y != bot and A.join[x][y] != top:
+                return False, False, "sentence-2", (x, y), None, None
+            if x != top and y != top and A.meet[x][y] != bot:
+                return False, False, "sentence-3", (x, y), None, None
+    for x in range(A.size):
+        if x != bot and A.mult[x][top] != top:
+            return False, False, "sentence-4", (x,), None, None
+
+    try:
+        group = split_R(A)[2]
+    except ValueError:
+        return False, False, "group-laws", (), None, None
+
+    passed, element, prime = check_sigma(group, primes)
+    if not passed:
+        return False, False, f"sigma-{prime}", (interior[element],), None, None
+
+    rebuilt = build_R(group, A.signature)
+    canon_map = [0] * A.size
+    for g, a in enumerate(interior):
+        canon_map[a] = g
+    canon_map[bot] = group.size
+    canon_map[top] = group.size + 1
+    canon = AlgHom(A, rebuilt, tuple(canon_map))
+    if alg_hom_violations(canon) or len(set(canon_map)) != A.size:
+        return False, False, "structure-mismatch", (), None, None
+    return True, False, None, (), group, tuple(canon_map)

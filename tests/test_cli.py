@@ -315,6 +315,33 @@ def test_check_proof_command(tmp_path, capsys):
     assert doc["result"]["step"] == 1
 
 
+def test_repeated_input_keys_keep_every_hash(tmp_path, capsys):
+    """Two files of one name, or two premises, each keep their hash in the
+    header: the first under its key, later ones under key#2, key#3, ..."""
+    import hashlib
+
+    paths = []
+    for folder, group in (("a", "2"), ("b", "3")):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "r.json")
+        invoke(capsys, ["build", "--group", group, "--sig", "none", "--out", str(paths[-1])])
+    argv = ["consequence", "--algebras", ",".join(map(str, paths)), "--conclusion", "x -> x"]
+    code, doc = invoke_json(capsys, argv)
+    assert code == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+    inputs = doc["meta"]["inputs"]
+    assert digests[0] != digests[1]
+    assert [inputs["algebra:r.json"], inputs["algebra:r.json#2"]] == digests
+
+    derivation = tmp_path / "d.json"
+    derivation.write_text(json.dumps([{"formula": "x", "rule": "premise"}]))
+    argv = ["check-proof", "--file", str(derivation), "--premise", "x", "--premise", "y"]
+    code, doc = invoke_json(capsys, argv)
+    inputs = doc["meta"]["inputs"]
+    expected = [hashlib.sha256(t.encode()).hexdigest() for t in ("x", "y")]
+    assert [inputs["premise"], inputs["premise#2"]] == expected
+
+
 def test_amalgamate_command(tmp_path, capsys):
     z3 = tmp_path / "z3.json"
     z5 = tmp_path / "z5.json"

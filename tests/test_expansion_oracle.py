@@ -1,0 +1,204 @@
+"""Group expansions and membership against their reference (tests/reference_kernel.py).
+
+``build_R`` writes its rows from the layout (the group, then bot, then top);
+the reference calls one function per operation on every cell.  ``member_K``
+reads the shape through ``split_R``; the reference searches the bounds and
+checks the sentences itself.  Both must agree on members, on non-members that
+pass their laws, and on algebras that fail them.
+"""
+
+import dataclasses
+
+import pytest
+
+from girale.algebra import (
+    AlgHom,
+    check_signature_laws,
+    direct_product,
+    negative_cone,
+    trivial_algebra,
+)
+from girale.amalgam import _leg_group_hom, class_catalog
+from girale.construct import (
+    SIGNATURE_FULL,
+    KClassQuery,
+    NotAnExpansion,
+    build_R,
+    lift_embedding,
+    member_K,
+    restrict_embedding,
+    split_R,
+)
+from girale.group import PrimeSet, abelian_group_catalog, group_homs, make_group
+from girale.proofs import _refutation_catalog
+
+from tests import reference_kernel as ref
+from tests.conftest import bounded_involutive_chain
+
+SIGNATURES = (frozenset(), frozenset({"0"}), frozenset({"0", "bot", "top"}), SIGNATURE_FULL)
+PRIME_SETS = (PrimeSet.of(2), PrimeSet.of(3), PrimeSet.of(5), PrimeSet.of(2, 5))
+
+
+def _expansions(max_order: int):
+    return [
+        build_R(make_group(chain or [1]), sig)
+        for chain in abelian_group_catalog(max_order)
+        for sig in SIGNATURES
+    ]
+
+
+def _reversed(A):
+    """A copy of A with its universe in reverse order: top first, the group last."""
+    n = A.size
+    back = [n - 1 - a for a in range(n)]
+
+    def table(t):
+        return tuple(tuple(back[t[back[a]][back[b]]] for b in range(n)) for a in range(n))
+
+    def const(c):
+        return None if c is None else back[c]
+
+    return dataclasses.replace(
+        A,
+        meet=table(A.meet),
+        join=table(A.join),
+        mult=table(A.mult),
+        imp=table(A.imp),
+        one=back[A.one],
+        zero=const(A.zero),
+        bot=const(A.bot),
+        top=const(A.top),
+        bang=None if A.bang is None else tuple(back[A.bang[back[a]]] for a in range(n)),
+        names=tuple(reversed(A.names)) if A.names is not None else None,
+    )
+
+
+def _non_members():
+    """Algebras that pass their laws but are not shaped like an expansion of a
+    group with the unit as its constant 0."""
+    z1, z2, z3 = (make_group([d]) for d in (1, 2, 3))
+    out = [bounded_involutive_chain()]
+    for sig in SIGNATURES:
+        out.append(direct_product(build_R(z2, sig), build_R(z3, sig)))
+        out.append(direct_product(build_R(z1, sig), build_R(z1, sig)))
+    out.append(negative_cone(build_R(z3)))
+    out.append(negative_cone(direct_product(build_R(z2), build_R(z2))))
+    for sig in (frozenset({"0"}), SIGNATURE_FULL):
+        for group in (z2, z3, make_group([2, 2])):
+            A = build_R(group, sig)
+            out.extend(dataclasses.replace(A, zero=g) for g in range(group.size) if g != A.one)
+    return out
+
+
+FAMILY = (
+    [trivial_algebra(sig) for sig in SIGNATURES]
+    + _expansions(8)
+    + [
+        A
+        for primes in PRIME_SETS
+        for sig in SIGNATURES
+        for _, A, _ in class_catalog(primes, sig, 7)
+    ]
+    + _refutation_catalog()
+    + _non_members()
+)
+FAMILY += [_reversed(A) for A in FAMILY]
+
+
+def _new_verdict(A, primes):
+    # uncached: the cache key ignores element names, which the group carries
+    result = member_K.__wrapped__(A, KClassQuery(primes, A.signature))
+    canon = result.canon.mapping if result.canon is not None else None
+    return (result.member, result.trivial, result.failed, result.witness, result.group, canon)
+
+
+def test_build_R_rows_match_cell_functions():
+    checked = 0
+    for chain in abelian_group_catalog(16):
+        group = make_group(chain or [1])
+        for sig in SIGNATURES:
+            new, old = build_R(group, sig), ref.build_R(group, sig)
+            assert new == old
+            assert new.names == old.names
+            assert (new.zero, new.bot, new.top, new.bang) == (old.zero, old.bot, old.top, old.bang)
+            checked += 1
+    assert checked == 4 * len(abelian_group_catalog(16))
+
+
+def test_non_members_pass_their_laws():
+    for A in _non_members():
+        assert check_signature_laws(A).passed
+
+
+def test_member_K_matches_reference_on_family():
+    failures = set()
+    for A in FAMILY:
+        for primes in PRIME_SETS:
+            old = ref.member_K(A, primes)
+            assert _new_verdict(A, primes) == old
+            failures.add(old[2])
+    # the family reaches every verdict that algebras passing their laws can get
+    assert {"unit-is-a-bound", "sentence-1", "structure-mismatch", None} <= failures
+    assert {"sigma-2", "sigma-3", "sigma-5"} <= failures
+
+
+def test_split_R_is_the_shape_check():
+    """split_R raises on each non-member whose shape is wrong, with member_K's
+    reason and witness, and otherwise finds the reference's bounds and group."""
+    raised = 0
+    for A in FAMILY:
+        if A.size == 1:
+            continue
+        _, _, failed, witness, _, _ = ref.member_K(A, PrimeSet.of(2))
+        if failed is None or failed == "structure-mismatch" or failed.startswith("sigma-"):
+            parts = split_R(A)
+            assert (parts.bot, parts.top, parts.group, parts.to_algebra) == ref.split_R(A)
+            continue
+        with pytest.raises(NotAnExpansion) as caught:
+            split_R(A)
+        assert (caught.value.failed, caught.value.witness) == (failed, witness)
+        raised += 1
+    assert raised >= len(_non_members()) // 2
+
+
+def test_split_R_rejects_failed_laws():
+    A = build_R(make_group([3]), SIGNATURE_FULL)
+    mult = [list(row) for row in A.mult]
+    mult[1][1] = 0
+    broken = dataclasses.replace(A, mult=tuple(tuple(row) for row in mult))
+    assert not check_signature_laws(broken).passed
+    with pytest.raises(ValueError, match="fails its class laws") as caught:
+        split_R(broken)
+    assert not isinstance(caught.value, NotAnExpansion)
+    for primes in PRIME_SETS:
+        with pytest.raises(ValueError, match="fails its class laws"):
+            member_K(broken, KClassQuery(primes, broken.signature))
+        with pytest.raises(ValueError, match="fails its class laws"):
+            ref.member_K(broken, primes)
+
+
+def test_one_restriction_on_reversed_expansions():
+    """restrict_embedding and the amalgamation leg give the same group map on
+    expansions whose group does not sit at 0..n-1, and it is the embedding
+    read on the interiors."""
+    groups = [make_group(chain or [1]) for chain in abelian_group_catalog(8)]
+    query = KClassQuery(PrimeSet.of(11), frozenset())
+    legs = 0
+    for source in groups:
+        for target in groups:
+            for alpha in group_homs(source, target, injective_only=True):
+                beta = lift_embedding(alpha)
+                A, B = _reversed(beta.source), _reversed(beta.target)
+                back_a, back_b = A.size - 1, B.size - 1
+                mapping = [0] * A.size
+                for a, image in enumerate(beta.mapping):
+                    mapping[back_a - a] = back_b - image
+                reversed_beta = AlgHom(A, B, tuple(mapping))
+                restricted = restrict_embedding(reversed_beta)
+                src, tgt = member_K(A, query), member_K(B, query)
+                assert _leg_group_hom(src, reversed_beta, tgt) == restricted
+                assert not restricted.violations() and restricted.is_injective()
+                for g, h in enumerate(restricted.mapping):
+                    assert tgt.parts.to_algebra[h] == mapping[src.parts.to_algebra[g]]
+                legs += 1
+    assert legs > 50
