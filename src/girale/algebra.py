@@ -65,18 +65,24 @@ class FiniteAlgebra:
         if self.names is not None and len(self.names) != n:
             raise ValueError("names length does not match size.")
 
+    def __hash__(self) -> int:
+        """The hash of the compared fields, computed once.  Neither ``replace``
+        nor pickling copies it: ``hash(None)`` can differ between processes."""
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            fields = (self.size, self.meet, self.join, self.mult, self.imp,
+                      self.one, self.zero, self.bot, self.top, self.bang)
+            object.__setattr__(self, "_hash", hash(fields))
+            return self._hash  # type: ignore[attr-defined]
+
+    def __getstate__(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+
     @property
     def signature(self) -> frozenset[str]:
-        present = set()
-        if self.zero is not None:
-            present.add("0")
-        if self.bot is not None:
-            present.add("bot")
-        if self.top is not None:
-            present.add("top")
-        if self.bang is not None:
-            present.add("bang")
-        return frozenset(present)
+        values = (self.zero, self.bot, self.top, self.bang)  # in OPTIONAL_SYMBOLS order
+        return frozenset(s for s, v in zip(OPTIONAL_SYMBOLS, values) if v is not None)
 
     def leq(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a

@@ -276,9 +276,7 @@ def _cmd_eval(args, inputs: _Inputs):
 
 
 def _cmd_consequence(args, inputs: _Inputs):
-    algebras = [
-        _load_algebra(inputs, path) for path in args.algebras.split(",") if path
-    ]
+    algebras = [_load_algebra(inputs, path) for path in args.algebras.split(",") if path]
     premises = [
         parse(p, args.notation)
         for p in inputs.text("premises", args.premises or "").split(",")
@@ -297,9 +295,7 @@ def _cmd_consequence(args, inputs: _Inputs):
 
 
 def _cmd_interpolate(args, inputs: _Inputs):
-    algebras = [
-        _load_algebra(inputs, path) for path in args.algebras.split(",") if path
-    ]
+    algebras = [_load_algebra(inputs, path) for path in args.algebras.split(",") if path]
     phi = parse(inputs.text("premise", args.premise), args.notation)
     psi = parse(inputs.text("conclusion", args.conclusion), args.notation)
     result = interpolant_search(

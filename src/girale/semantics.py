@@ -2,8 +2,15 @@
 
 A formula holds in an algebra when its value v satisfies v /\\ 1 = 1 under
 every assignment; consequence relativizes that to a finite list of algebras.
-Assignment sweeps run vectorized over the full grid, in lexicographic order
-of the sorted variable names, so the first countermodel is deterministic.
+One vector evaluator serves ``consequence``, ``valid``, ``deduction_check``
+and interpolant search.  It takes a batch of consecutive catalog algebras as
+one disjoint union: block-diagonal flat tables of global indices, in the
+smallest dtype holding N^2, over each block's grid in lexicographic order of
+the sorted variable names, so the first countermodel is deterministic.  A
+batch holds algebras that have every symbol the formulas use and whose grid
+fits ``MAX_GRID``, and ends before its cells pass ``MAX_GRID`` or its
+elements 256 (so that it indexes in uint16); any other algebra is a batch of
+its own.  Within one call each distinct subformula is evaluated once.
 Interpolant search enumerates candidates by size with value-vector
 deduplication and re-verifies any hit with a separate scalar evaluator.
 """
@@ -13,13 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra
+from .algebra import OPTIONAL_SYMBOLS, FiniteAlgebra, _index_dtype
 from .capacity import CapacityError
 from .formula import (
+    OPS,
     Bang,
     BinOp,
     Const,
@@ -64,9 +72,7 @@ _READINGS = {
 
 
 def _constant_index(A: FiniteAlgebra, symbol: str) -> int:
-    if symbol == "1":
-        return A.one
-    value = {"0": A.zero, "bot": A.bot, "top": A.top}[symbol]
+    value = {"1": A.one, "0": A.zero, "bot": A.bot, "top": A.top}[symbol]
     if value is None:
         raise ValueError(f"Constant {symbol!r} is not in the algebra signature.")
     return value
@@ -97,53 +103,161 @@ def designated(A: FiniteAlgebra, value: int) -> bool:
     return A.meet[value][A.one] == A.one
 
 
-@lru_cache(maxsize=None)
-def _np_tables(A: FiniteAlgebra) -> dict:
-    return {
-        "and": np.asarray(A.meet, dtype=np.int64),
-        "or": np.asarray(A.join, dtype=np.int64),
-        "mul": np.asarray(A.mult, dtype=np.int64),
-        "imp": np.asarray(A.imp, dtype=np.int64),
-        "bang": None if A.bang is None else np.asarray(A.bang, dtype=np.int64),
-    }
+_UNION_ELEMENTS = 256  # most elements in a batch of several algebras
 
 
-def _grid(A: FiniteAlgebra, variables: Sequence[str]) -> tuple[dict, int]:
-    n = A.size
-    k = len(variables)
-    count = n**k
-    if count > MAX_GRID:
-        raise CapacityError(f"Assignment grid of size {count} exceeds {MAX_GRID}.")
-    idx = np.arange(count, dtype=np.int64)
-    coords = {}
-    for j, name in enumerate(variables):
-        coords[name] = (idx // n ** (k - 1 - j)) % n
-    return coords, count
+@lru_cache(maxsize=64)
+def _union(algebras: tuple[FiniteAlgebra, ...]) -> tuple[tuple[int, ...], dict, np.ndarray]:
+    """The block offsets, block-diagonal flat tables ("bang": None unless every
+    block has it) and designated elements of a disjoint union of algebras."""
+    sizes = [A.size for A in algebras]
+    n = sum(sizes)
+    offsets = tuple(itertools.accumulate(sizes[:-1], initial=0))
+    square = {op: np.zeros((n, n), dtype=_index_dtype(n * n)) for op in OPS}
+    for A, offset in zip(algebras, offsets):
+        block = slice(offset, offset + A.size)
+        for op, table in zip(OPS, (A.meet, A.join, A.mult, A.imp)):
+            square[op][block, block] = np.asarray(table) + offset
+    tables: dict = {op: table.ravel() for op, table in square.items()}
+    bangs = [np.asarray(A.bang) + o for A, o in zip(algebras, offsets) if A.bang is not None]
+    full = len(bangs) == len(algebras)
+    tables["bang"] = np.concatenate(bangs).astype(square["and"].dtype) if full else None
+    designated = np.concatenate([np.asarray(A.meet)[:, A.one] == A.one for A in algebras])
+    return offsets, tables, designated
 
 
-def _eval_vec(A: FiniteAlgebra, tables: dict, f: Formula, coords: dict, count: int) -> np.ndarray:
-    # tables is _np_tables(A), fetched once per algebra by the caller
-    if isinstance(f, Var):
-        return coords[f.name]
-    if isinstance(f, Const):
-        return np.full(count, _constant_index(A, f.symbol), dtype=np.int64)
-    if isinstance(f, Bang):
-        bang = tables["bang"]
-        if bang is None:
-            raise ValueError("Guard connective is not in the algebra signature.")
-        return bang[_eval_vec(A, tables, f.child, coords, count)]
-    left = _eval_vec(A, tables, f.left, coords, count)
-    right = _eval_vec(A, tables, f.right, coords, count)
-    return tables[f.op][left, right]
+@lru_cache(maxsize=8)
+def _cells(sizes: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The assignment grid of a union, one row of global indices per
+    variable: each block's grid in lexicographic order, block after block.
+    Also the first cell of each block."""
+    dtype = _index_dtype(sum(sizes) ** 2)
+    offsets = itertools.accumulate(sizes[:-1], initial=0)
+    blocks = [np.indices((m,) * k, dtype).reshape(k, m**k) + o for m, o in zip(sizes, offsets)]
+    rows = np.concatenate(blocks, axis=1)
+    rows.setflags(write=False)
+    return rows, np.cumsum([0] + [m**k for m in sizes[:-1]])
 
 
-def _decode(A: FiniteAlgebra, variables: Sequence[str], flat: int) -> dict[str, int]:
-    n = A.size
-    values = {}
-    for name in reversed(variables):
-        values[name] = flat % n
-        flat //= n
-    return {name: values[name] for name in variables}
+class _Batch:
+    """Catalog algebras ``start`` and on, evaluated as one union over their
+    concatenated grids.  The values of the ``shared`` formulas are kept."""
+
+    def __init__(self, algebras: tuple[FiniteAlgebra, ...], start: int, variables: Sequence[str],
+                 shared: set[Formula]) -> None:
+        self.counts = [A.size ** len(variables) for A in algebras]
+        if self.counts[0] > MAX_GRID:  # then the algebra is alone in its batch
+            raise CapacityError(f"Assignment grid of size {self.counts[0]} exceeds {MAX_GRID}.")
+        self.algebras, self.start = algebras, start
+        self.offsets, self.tables, self.designated_at = _union(algebras)
+        rows, self.starts = _cells(tuple(A.size for A in algebras), len(variables))
+        self.columns = dict(zip(variables, rows))
+        self.size, self.dtype = len(self.designated_at), rows.dtype
+        self.shared, self.memo = shared, {}
+
+    def value(self, f: Formula) -> np.ndarray:
+        if isinstance(f, Var):
+            return self.columns[f.name]
+        vec = self.memo.get(f)
+        if vec is not None:
+            return vec
+        if isinstance(f, Const):
+            points = [_constant_index(A, f.symbol) + o for A, o in zip(self.algebras, self.offsets)]
+            vec = np.array(points, dtype=self.dtype).repeat(self.counts)
+        elif isinstance(f, Bang):
+            if self.tables["bang"] is None:
+                raise ValueError("Guard connective is not in the algebra signature.")
+            vec = self.tables["bang"].take(self.value(f.child))
+        else:
+            left = self.value(f.left)
+            vec = self.tables[f.op].take(left * self.size + self.value(f.right))
+        if f in self.shared:
+            self.memo[f] = vec
+        return vec
+
+    def designated(self, f: Formula) -> np.ndarray:
+        return self.designated_at.take(self.value(f))
+
+
+def _scan(formulas: Iterable[Formula]) -> tuple[list[str], set[str], set[Formula]]:
+    """The variables, the optional symbols, and the subformulas other than
+    variables met more than once; below a repeat nothing is counted again."""
+    names: set[str] = set()
+    symbols: set[str] = set()
+    seen: set[Formula] = set()
+    shared: set[Formula] = set()
+    stack = list(formulas)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Var):
+            names.add(f.name)
+        elif f in seen:
+            shared.add(f)
+        else:
+            seen.add(f)
+            if isinstance(f, Const):
+                symbols.add(f.symbol)
+            elif isinstance(f, Bang):
+                symbols.add("bang")
+                stack.append(f.child)
+            else:
+                stack += (f.left, f.right)
+    return sorted(names), symbols.intersection(OPTIONAL_SYMBOLS), shared
+
+
+class _Evaluator:
+    """Designated-value judgments over one catalog, on ``formulas``: every
+    formula they evaluate, repeats included.  Each batch is built when a
+    judgment first reaches it, so a missing symbol or an oversized grid
+    raises just when the judgment reaches that algebra."""
+
+    def __init__(self, algebras: tuple[FiniteAlgebra, ...], formulas: Iterable[Formula]) -> None:
+        if not algebras:
+            raise ValueError("Consequence needs at least one algebra.")
+        self.algebras = algebras
+        self.variables, self.symbols, self.shared = _scan(formulas)
+        self._built: list[_Batch] = []
+        self._next = self._cut()
+
+    def _cut(self) -> Iterator[_Batch]:
+        algebras, k = self.algebras, len(self.variables)
+        fits = [self.symbols <= A.signature and A.size**k <= MAX_GRID for A in algebras]
+        start = 0
+        while start < len(algebras):
+            end, cells, elements = start + 1, algebras[start].size ** k, algebras[start].size
+            while fits[start] and end < len(algebras) and fits[end]:
+                cells += algebras[end].size ** k
+                elements += algebras[end].size
+                if cells > MAX_GRID or elements > _UNION_ELEMENTS:
+                    break
+                end += 1
+            yield _Batch(algebras[start:end], start, self.variables, self.shared)
+            start = end
+
+    def batches(self) -> Iterator[_Batch]:
+        yield from self._built
+        for batch in self._next:
+            self._built.append(batch)
+            yield batch
+
+    def consequence(self, premises: Sequence[Formula], conclusion: Formula) -> ConsequenceResult:
+        for batch in self.batches():
+            mask = np.ones(sum(batch.counts), dtype=bool)
+            for p in premises:
+                mask &= batch.designated(p)
+                if not mask.any():
+                    break
+            if not mask.any():
+                continue
+            bad = mask & ~batch.designated(conclusion)
+            flat = int(bad.argmax())
+            if bad[flat]:
+                block = int(batch.starts.searchsorted(flat, side="right")) - 1
+                shape = (batch.algebras[block].size,) * len(self.variables)
+                cell = map(int, np.unravel_index(flat - batch.starts[block], shape))
+                countermodel = dict(zip(self.variables, cell))
+                return ConsequenceResult(False, batch.start + block, countermodel)
+        return ConsequenceResult(True)
 
 
 @dataclass(frozen=True)
@@ -165,31 +279,8 @@ def consequence(
     conclusion: Formula,
 ) -> ConsequenceResult:
     """Designated-value consequence over every algebra and assignment."""
-    if not algebras:
-        raise ValueError("Consequence needs at least one algebra.")
-    names: set[str] = set(free_variables(conclusion))
-    for p in premises:
-        names |= free_variables(p)
-    variables = sorted(names)
-    for index, A in enumerate(algebras):
-        coords, count = _grid(A, variables)
-        one = A.one
-        tables = _np_tables(A)
-        meet = tables["and"]
-        mask = np.ones(count, dtype=bool)
-        for p in premises:
-            vec = _eval_vec(A, tables, p, coords, count)
-            mask &= meet[vec, one] == one
-            if not mask.any():
-                break
-        if not mask.any():
-            continue
-        vec = _eval_vec(A, tables, conclusion, coords, count)
-        bad = mask & (meet[vec, one] != one)
-        if bad.any():
-            flat = int(np.nonzero(bad)[0][0])
-            return ConsequenceResult(False, index, _decode(A, variables, flat))
-    return ConsequenceResult(True)
+    algebras, premises = tuple(algebras), tuple(premises)
+    return _Evaluator(algebras, (*premises, conclusion)).consequence(premises, conclusion)
 
 
 def valid(A: FiniteAlgebra, f: Formula) -> ValidityResult:
@@ -204,10 +295,8 @@ def consequence_slow(
     conclusion: Formula,
 ) -> ConsequenceResult:
     """Scalar re-evaluation of the same judgment; the independent cross-check."""
-    names: set[str] = set(free_variables(conclusion))
-    for p in premises:
-        names |= free_variables(p)
-    variables = sorted(names)
+    premises = tuple(premises)
+    variables = sorted(set(free_variables(conclusion)).union(*map(free_variables, premises)))
     for index, A in enumerate(algebras):
         for values in itertools.product(range(A.size), repeat=len(variables)):
             h = dict(zip(variables, values))
@@ -227,11 +316,7 @@ class DeductionReport:
 
     @property
     def agree(self) -> bool:
-        return (
-            self.with_premise.holds
-            == self.guarded_arrow.holds
-            == self.guarded_both.holds
-        )
+        return self.with_premise.holds == self.guarded_arrow.holds == self.guarded_both.holds
 
 
 def deduction_check(
@@ -240,14 +325,17 @@ def deduction_check(
     phi: Formula,
     psi: Formula,
 ) -> DeductionReport:
-    """Compare moving phi into the premises against guarding it on the left."""
+    """Compare moving phi into the premises against guarding it on the left.
+    The three judgments share one evaluator: each subformula is evaluated once."""
+    algebras, premises = tuple(algebras), tuple(premises)
     for A in algebras:
         if A.bang is None:
             raise ValueError("deduction_check needs the guard in every signature.")
-    with_premise = consequence(algebras, list(premises) + [phi], psi)
-    guarded_arrow = consequence(algebras, premises, BinOp("imp", Bang(phi), psi))
-    guarded_both = consequence(algebras, premises, BinOp("imp", Bang(phi), Bang(psi)))
-    return DeductionReport(with_premise, guarded_arrow, guarded_both)
+    guarded = Bang(phi)
+    judgments = (((*premises, phi), psi), (premises, BinOp("imp", guarded, psi)),
+                 (premises, BinOp("imp", guarded, Bang(psi))))
+    evaluator = _Evaluator(algebras, [f for ps, c in judgments for f in (*ps, c)])
+    return DeductionReport(*(evaluator.consequence(*judgment) for judgment in judgments))
 
 
 @dataclass(frozen=True)
@@ -276,15 +364,8 @@ class InterpolationResult:
 
 
 def _atoms(shared: Sequence[str], signature: frozenset[str]) -> list[Formula]:
-    atoms: list[Formula] = [Var(v) for v in shared]
-    atoms.append(Const("1"))
-    if "0" in signature:
-        atoms.append(Const("0"))
-    if "bot" in signature:
-        atoms.append(Const("bot"))
-    if "top" in signature:
-        atoms.append(Const("top"))
-    return atoms
+    constants = [Const(c) for c in ("1", "0", "bot", "top") if c == "1" or c in signature]
+    return [*map(Var, shared), *constants]
 
 
 def interpolant_search(
@@ -306,6 +387,7 @@ def interpolant_search(
     """
     if mode not in MODES:
         raise ValueError(f"Unknown mode {mode!r}; expected one of {MODES}.")
+    algebras = tuple(algebras)
     if not algebras:
         raise ValueError("Interpolant search needs at least one algebra.")
     signatures = {A.signature for A in algebras}
@@ -338,11 +420,11 @@ def interpolant_search(
                 return None
         return tuple(items)
 
-    grids = [(A, _np_tables(A), *_grid(A, shared)) for A in algebras]
+    # every batch now: an oversized grid raises before the first candidate
+    batches = list(_Evaluator(algebras, _atoms(shared, signature)).batches())
 
-    def vector_key(delta: Formula) -> bytes:
-        chunks = [_eval_vec(A, t, delta, coords, count).tobytes() for A, t, coords, count in grids]
-        return b"|".join(chunks)
+    def vector_key(delta: Formula) -> bytes:  # no value is kept: no formula is shared
+        return b"|".join(batch.value(delta).tobytes() for batch in batches)
 
     seen: set[bytes] = set()
     by_size: dict[int, list[Formula]] = {}
@@ -361,13 +443,8 @@ def interpolant_search(
         if all(consequence(algebras, *entails(a, b)).holds for _, a, b in sides):
             certificate = recheck(sides)
             if certificate is not None:
-                return InterpolationResult(
-                    status="found",
-                    mode=mode,
-                    interpolant=delta,
-                    certificate=certificate,
-                    candidates_tried=tried,
-                )
+                return InterpolationResult("found", mode, delta, certificate,
+                                           candidates_tried=tried)
         return None
 
     for atom in _atoms(shared, signature):

@@ -20,13 +20,19 @@ plain dataclasses, all without caches or subformula codes.  The last
 section keeps ``build_R`` with one function per operation called on every
 cell, and ``member_K`` with its own bound search and copy of the sentences
 over a ``split_R`` that scans for the bounds and checks the interior closed.
+The semantics section keeps the ``consequence`` loop that evaluates every
+formula per algebra over its own int64 grid, with no memo, and
+``deduction_check`` as three such calls.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from girale.algebra import (
     AlgHom,
@@ -37,10 +43,11 @@ from girale.algebra import (
     Violation,
     _binary_tables,
 )
-from girale.capacity import guard
-from girale.formula import CONSTS, ONE, OPS, ZERO, Bang, BinOp, Const, Formula, Var
+from girale.capacity import CapacityError, guard
+from girale.formula import CONSTS, ONE, OPS, ZERO, Bang, BinOp, Const, Formula, Var, free_variables
 from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization, group_from_table
 from girale.proofs import Sequent, SequentProof, _check_fragment
+from girale.semantics import MAX_GRID, ConsequenceResult, DeductionReport
 
 
 def residuals_from_mult(meet: Table, join: Table, mult: Table) -> Table:
@@ -936,3 +943,108 @@ def member_K(A: FiniteAlgebra, primes: PrimeSet) -> tuple:
     if alg_hom_violations(canon) or len(set(canon_map)) != A.size:
         return False, False, "structure-mismatch", (), None, None
     return True, False, None, (), group, tuple(canon_map)
+
+
+def _constant_index(A: FiniteAlgebra, symbol: str) -> int:
+    if symbol == "1":
+        return A.one
+    value = {"0": A.zero, "bot": A.bot, "top": A.top}[symbol]
+    if value is None:
+        raise ValueError(f"Constant {symbol!r} is not in the algebra signature.")
+    return value
+
+
+@lru_cache(maxsize=None)
+def _np_tables(A: FiniteAlgebra) -> dict:
+    return {
+        "and": np.asarray(A.meet, dtype=np.int64),
+        "or": np.asarray(A.join, dtype=np.int64),
+        "mul": np.asarray(A.mult, dtype=np.int64),
+        "imp": np.asarray(A.imp, dtype=np.int64),
+        "bang": None if A.bang is None else np.asarray(A.bang, dtype=np.int64),
+    }
+
+
+def _grid(A: FiniteAlgebra, variables: Sequence[str]) -> tuple[dict, int]:
+    n = A.size
+    k = len(variables)
+    count = n**k
+    if count > MAX_GRID:
+        raise CapacityError(f"Assignment grid of size {count} exceeds {MAX_GRID}.")
+    idx = np.arange(count, dtype=np.int64)
+    coords = {}
+    for j, name in enumerate(variables):
+        coords[name] = (idx // n ** (k - 1 - j)) % n
+    return coords, count
+
+
+def _eval_vec(A: FiniteAlgebra, tables: dict, f: Formula, coords: dict, count: int) -> np.ndarray:
+    # tables is _np_tables(A), fetched once per algebra by the caller
+    if isinstance(f, Var):
+        return coords[f.name]
+    if isinstance(f, Const):
+        return np.full(count, _constant_index(A, f.symbol), dtype=np.int64)
+    if isinstance(f, Bang):
+        bang = tables["bang"]
+        if bang is None:
+            raise ValueError("Guard connective is not in the algebra signature.")
+        return bang[_eval_vec(A, tables, f.child, coords, count)]
+    left = _eval_vec(A, tables, f.left, coords, count)
+    right = _eval_vec(A, tables, f.right, coords, count)
+    return tables[f.op][left, right]
+
+
+def _decode(A: FiniteAlgebra, variables: Sequence[str], flat: int) -> dict[str, int]:
+    n = A.size
+    values = {}
+    for name in reversed(variables):
+        values[name] = flat % n
+        flat //= n
+    return {name: values[name] for name in variables}
+
+
+def consequence(
+    algebras: Sequence[FiniteAlgebra],
+    premises: Sequence[Formula],
+    conclusion: Formula,
+) -> ConsequenceResult:
+    if not algebras:
+        raise ValueError("Consequence needs at least one algebra.")
+    names: set[str] = set(free_variables(conclusion))
+    for p in premises:
+        names |= free_variables(p)
+    variables = sorted(names)
+    for index, A in enumerate(algebras):
+        coords, count = _grid(A, variables)
+        one = A.one
+        tables = _np_tables(A)
+        meet = tables["and"]
+        mask = np.ones(count, dtype=bool)
+        for p in premises:
+            vec = _eval_vec(A, tables, p, coords, count)
+            mask &= meet[vec, one] == one
+            if not mask.any():
+                break
+        if not mask.any():
+            continue
+        vec = _eval_vec(A, tables, conclusion, coords, count)
+        bad = mask & (meet[vec, one] != one)
+        if bad.any():
+            flat = int(np.nonzero(bad)[0][0])
+            return ConsequenceResult(False, index, _decode(A, variables, flat))
+    return ConsequenceResult(True)
+
+
+def deduction_check(
+    algebras: Sequence[FiniteAlgebra],
+    premises: Sequence[Formula],
+    phi: Formula,
+    psi: Formula,
+) -> DeductionReport:
+    for A in algebras:
+        if A.bang is None:
+            raise ValueError("deduction_check needs the guard in every signature.")
+    with_premise = consequence(algebras, list(premises) + [phi], psi)
+    guarded_arrow = consequence(algebras, premises, BinOp("imp", Bang(phi), psi))
+    guarded_both = consequence(algebras, premises, BinOp("imp", Bang(phi), Bang(psi)))
+    return DeductionReport(with_premise, guarded_arrow, guarded_both)

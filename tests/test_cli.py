@@ -273,6 +273,33 @@ def test_group_layer_output_pinned(capsys, monkeypatch, name):
     assert out == (data / f"{name}.json").read_text()
 
 
+# name -> (argv, exit code), captured while consequence still ran algebra by
+# algebra: a catalog where the judgment holds, a countermodel in algebra 1,
+# and a refutation in algebra 0 of a catalog whose algebra 1 lacks 0
+CONSEQUENCE_PINNED = {
+    "consequence-holds": (
+        ["--algebras", "r_z3_full.json,r_z2z2_full.json", "--premises", "x", "--conclusion", "x \\/ y"], 0
+    ),
+    "consequence-algebra-1": (
+        ["--algebras", "r_z3_full.json,r_z2z2_full.json", "--premises", "x * x", "--conclusion", "x"], 1
+    ),
+    "consequence-mixed-signature": (
+        ["--algebras", "r_z3_full.json,r_z2_none.json", "--conclusion", "x -> 0"], 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSEQUENCE_PINNED))
+def test_consequence_output_pinned(capsys, monkeypatch, name):
+    """Byte-identical --json for consequence over two-algebra catalogs."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data)
+    argv, expected = CONSEQUENCE_PINNED[name]
+    code, out = invoke(capsys, ["consequence", *argv, "--json"])
+    assert code == expected
+    assert out == (data / f"{name}.json").read_text()
+
+
 def test_interpolate_command(tmp_path, capsys):
     algebra = tmp_path / "g.json"
     invoke(capsys, ["build", "--group", "3", "--sig", "full", "--out", str(algebra)])
