@@ -11,8 +11,10 @@ off has covered the whole cut-free space: by cut elimination for FLe and
 FL the sequent is unprovable, and the failure is memoised at every budget.
 Search and proof checking run over int codes for the subformulas of the
 root sequent, through one rule table for both calculi.  A Maehara-style
-split of a cut-free proof yields midpoint formulas whose two halves are
-re-proved by search and re-checked semantically.
+split of a cut-free proof yields midpoint formulas by one side rule: a
+premise keeps the side of each occurrence it inherits, and what a rule adds
+takes the side of its principal.  Both halves are re-proved by search and
+re-checked semantically.
 """
 
 from __future__ import annotations
@@ -579,83 +581,39 @@ class CraigResult:
     semantically_valid: bool
 
 
+# the connective joining a two-premise rule's interpolants, by principal side
+_JOIN = {"/\\r": ("and",), "*r": ("mul",), "\\/l": ("and", "or"), "->l": ("mul", "imp")}
+
+
 def _interpolate(node: SequentProof, left: Counter) -> Formula:
-    rule = node.rule
+    """Maehara's interpolant of a cut-free FLe proof whose antecedent
+    sub-multiset ``left`` lies on the left side of the split.
+
+    A leaf gives its antecedent formula if that is on the left, else 1.  A
+    premise keeps the side of each occurrence it inherits; what a rule adds
+    to an antecedent takes the side of its principal, and a right rule's
+    principal, the succedent, is on the right.  The premises of a split share
+    the occurrences out, the first taking the left ones in its antecedent;
+    ``->l`` with its principal on the left reads that premise with the sides
+    swapped.  A two-premise rule joins the interpolants by ``_JOIN``.
+    """
     ant = node.sequent.antecedent
-    if rule == "id":
-        return ant[0] if left[ant[0]] else ONE
-    if rule == "1r":
-        return ONE
-    if rule == "0r":
-        return ZERO if left[ZERO] else ONE
-    if rule in ("1l", "*l", "/\\l1", "/\\l2"):
-        f = node.principal
-        assert f is not None
-        adjusted = Counter(left)
-        if left[f]:
-            adjusted[f] -= 1
-            if rule == "*l":
-                adjusted[f.left] += 1  # type: ignore[union-attr]
-                adjusted[f.right] += 1  # type: ignore[union-attr]
-            elif rule == "/\\l1":
-                adjusted[f.left] += 1  # type: ignore[union-attr]
-            elif rule == "/\\l2":
-                adjusted[f.right] += 1  # type: ignore[union-attr]
-        return _interpolate(node.children[0], +adjusted)
-    if rule == "\\/l":
-        f = node.principal
-        assert isinstance(f, BinOp)
-        if left[f]:
-            with_left = Counter(left)
-            with_left[f] -= 1
-            one = Counter(with_left)
-            one[f.left] += 1
-            two = Counter(with_left)
-            two[f.right] += 1
-            return BinOp("or", _interpolate(node.children[0], +one), _interpolate(node.children[1], +two))
-        return BinOp(
-            "and",
-            _interpolate(node.children[0], left),
-            _interpolate(node.children[1], left),
-        )
-    if rule in ("->r", "\\/r1", "\\/r2", "0l"):
-        return _interpolate(node.children[0], left)
-    if rule == "/\\r":
-        return BinOp(
-            "and",
-            _interpolate(node.children[0], left),
-            _interpolate(node.children[1], left),
-        )
-    if rule == "*r":
-        first, second = node.children
-        left_first = left & Counter(first.sequent.antecedent)
-        left_second = +(Counter(left) - left_first)
-        return BinOp(
-            "mul",
-            _interpolate(first, left_first),
-            _interpolate(second, left_second),
-        )
-    if rule == "->l":
-        f = node.principal
-        assert isinstance(f, BinOp)
-        first, second = node.children
-        on_left = bool(left[f])
-        remaining = Counter(left)
+    if not node.children:  # id, 1r, 0r
+        return ant[0] if ant and left[ant[0]] else ONE
+    principal = Counter() if node.principal is None else Counter([node.principal])
+    on_left = bool(left & principal)
+    pool, pool_left = Counter(ant) - principal, left - principal
+    parts = []
+    for i, child in enumerate(node.children):  # premises may be one shared object
+        premise = Counter(child.sequent.antecedent)
+        side = pool_left & premise
         if on_left:
-            remaining[f] -= 1
-        remaining = +remaining
-        left_sigma = remaining & Counter(first.sequent.antecedent)
-        left_keep = +(remaining - left_sigma)
-        if on_left:
-            flipped = Counter(first.sequent.antecedent) - left_sigma
-            epsilon = _interpolate(first, +flipped)
-            left_keep[f.right] += 1
-            zeta = _interpolate(second, left_keep)
-            return BinOp("imp", epsilon, zeta)
-        epsilon = _interpolate(first, left_sigma)
-        zeta = _interpolate(second, left_keep)
-        return BinOp("mul", epsilon, zeta)
-    raise ValueError(f"Unsupported rule {rule!r} in interpolation.")
+            side += premise - pool  # what the rule added
+        if i == 0 and node.rule in ("*r", "->l"):  # a split: the rest is the second's
+            pool, pool_left = pool - premise, pool_left - side
+            side = premise - side if on_left else side
+        parts.append(_interpolate(child, side))
+    return parts[0] if len(parts) == 1 else BinOp(_JOIN[node.rule][on_left], *parts)
 
 
 def _refutation_catalog() -> list:
@@ -697,15 +655,10 @@ def extract_craig(
             )
 
     delta = _interpolate(proof, left_ms)
-    # the succedent always belongs to the right half of the split
-    right_vars: set[str] = set()
-    for f in right_ms.elements():
-        right_vars |= free_variables(f)
-    if root.succedent is not None:
+    left_vars = set().union(*map(free_variables, left_ms))
+    right_vars = set().union(*map(free_variables, right_ms))
+    if root.succedent is not None:  # the succedent always belongs to the right half
         right_vars |= free_variables(root.succedent)
-    left_vars: set[str] = set()
-    for f in left_ms.elements():
-        left_vars |= free_variables(f)
     shared = frozenset(left_vars & right_vars)
     if not free_variables(delta) <= shared:
         raise RuntimeError("Extraction broke the variable condition.")

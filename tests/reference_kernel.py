@@ -16,9 +16,10 @@ by four nested loops.  The sequent section keeps the search loop that
 re-searches every failure at each larger budget, its two rule generators
 over formula tuples (one per calculus, with the multiset splits listed in
 full), the recursive structural key, and the hash of the formula nodes as
-plain dataclasses, all without caches or subformula codes.  The last
-section keeps ``build_R`` with one function per operation called on every
-cell, and ``member_K`` with its own bound search and copy of the sentences
+plain dataclasses, all without caches or subformula codes, and Maehara's
+interpolant with one branch per rule that edits the left multiset by hand.
+The last section keeps ``build_R`` with one function per operation called on
+every cell, and ``member_K`` with its own bound search and copy of the sentences
 over a ``split_R`` that scans for the bounds and checks the interior closed.
 The semantics section keeps the ``consequence`` loop that evaluates every
 formula per algebra over its own int64 grid, with no memo, and
@@ -28,6 +29,7 @@ formula per algebra over its own int64 grid, with no memo, and
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -802,6 +804,85 @@ def prove_sequent(
 
     ant = tuple(sorted(seq.antecedent, key=structural_key)) if with_exchange else seq.antecedent
     return search(ant, seq.succedent, bound)
+
+
+def _interpolate(node: SequentProof, left: Counter) -> Formula:
+    rule = node.rule
+    ant = node.sequent.antecedent
+    if rule == "id":
+        return ant[0] if left[ant[0]] else ONE
+    if rule == "1r":
+        return ONE
+    if rule == "0r":
+        return ZERO if left[ZERO] else ONE
+    if rule in ("1l", "*l", "/\\l1", "/\\l2"):
+        f = node.principal
+        assert f is not None
+        adjusted = Counter(left)
+        if left[f]:
+            adjusted[f] -= 1
+            if rule == "*l":
+                adjusted[f.left] += 1  # type: ignore[union-attr]
+                adjusted[f.right] += 1  # type: ignore[union-attr]
+            elif rule == "/\\l1":
+                adjusted[f.left] += 1  # type: ignore[union-attr]
+            elif rule == "/\\l2":
+                adjusted[f.right] += 1  # type: ignore[union-attr]
+        return _interpolate(node.children[0], +adjusted)
+    if rule == "\\/l":
+        f = node.principal
+        assert isinstance(f, BinOp)
+        if left[f]:
+            with_left = Counter(left)
+            with_left[f] -= 1
+            one = Counter(with_left)
+            one[f.left] += 1
+            two = Counter(with_left)
+            two[f.right] += 1
+            return BinOp("or", _interpolate(node.children[0], +one), _interpolate(node.children[1], +two))
+        return BinOp(
+            "and",
+            _interpolate(node.children[0], left),
+            _interpolate(node.children[1], left),
+        )
+    if rule in ("->r", "\\/r1", "\\/r2", "0l"):
+        return _interpolate(node.children[0], left)
+    if rule == "/\\r":
+        return BinOp(
+            "and",
+            _interpolate(node.children[0], left),
+            _interpolate(node.children[1], left),
+        )
+    if rule == "*r":
+        first, second = node.children
+        left_first = left & Counter(first.sequent.antecedent)
+        left_second = +(Counter(left) - left_first)
+        return BinOp(
+            "mul",
+            _interpolate(first, left_first),
+            _interpolate(second, left_second),
+        )
+    if rule == "->l":
+        f = node.principal
+        assert isinstance(f, BinOp)
+        first, second = node.children
+        on_left = bool(left[f])
+        remaining = Counter(left)
+        if on_left:
+            remaining[f] -= 1
+        remaining = +remaining
+        left_sigma = remaining & Counter(first.sequent.antecedent)
+        left_keep = +(remaining - left_sigma)
+        if on_left:
+            flipped = Counter(first.sequent.antecedent) - left_sigma
+            epsilon = _interpolate(first, +flipped)
+            left_keep[f.right] += 1
+            zeta = _interpolate(second, left_keep)
+            return BinOp("imp", epsilon, zeta)
+        epsilon = _interpolate(first, left_sigma)
+        zeta = _interpolate(second, left_keep)
+        return BinOp("mul", epsilon, zeta)
+    raise ValueError(f"Unsupported rule {rule!r} in interpolation.")
 
 
 # --- group expansions: build_R by one function per operation, and membership
