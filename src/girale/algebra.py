@@ -275,18 +275,6 @@ def check_class(A: FiniteAlgebra, tag: str) -> ClassReport:
     return _scan(A, lambda law: law.group in groups)
 
 
-def tag_for_signature(signature: Iterable[str]) -> str:
-    """The named class matching an optional-symbol set."""
-    sig = frozenset(signature)
-    if {"0", "bot", "top", "bang"} <= sig:
-        return "girale"
-    if {"0", "bot", "top"} <= sig:
-        return "a_algebra"
-    if "0" in sig:
-        return "prl"
-    return "crl"
-
-
 def check_signature_laws(A: FiniteAlgebra) -> ClassReport:
     """Core residuated-lattice laws plus the laws of every optional symbol present."""
     return _scan(A, lambda law: law.needs <= A.signature)
@@ -418,38 +406,6 @@ def meet_partitions(p: Partition, q: Partition) -> Partition:
     return _canonical((p[x], q[x]) for x in range(len(p)))
 
 
-def refines(p: Partition, q: Partition) -> bool:
-    """True iff every p-block is inside a q-block (p <= q in the congruence order)."""
-    seen: dict[int, int] = {}
-    for x in range(len(p)):
-        if p[x] in seen:
-            if q[x] != seen[p[x]]:
-                return False
-        else:
-            seen[p[x]] = q[x]
-    return True
-
-
-def is_congruence(A: FiniteAlgebra, labels: Sequence[int]) -> bool:
-    n = A.size
-    first: dict[int, int] = {}
-    for x in range(n):
-        lab = labels[x]
-        if lab not in first:
-            first[lab] = x
-            continue
-        r = first[lab]
-        for t in _binary_tables(A):
-            for z in range(n):
-                if labels[t[x][z]] != labels[t[r][z]]:
-                    return False
-                if labels[t[z][x]] != labels[t[z][r]]:
-                    return False
-        if A.bang is not None and labels[A.bang[x]] != labels[A.bang[r]]:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CongruenceSet:
     """The complete congruence set of a finite algebra, as canonical partitions."""
@@ -542,13 +498,6 @@ def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
         bang=bang,
         names=names,
     )
-
-
-def factor_partitions(nA: int, nB: int) -> tuple[Partition, Partition]:
-    """Kernels of the two projections of an nA x nB product, as partitions."""
-    left = tuple(x // nB for x in range(nA * nB))
-    right = tuple(x % nB for x in range(nA * nB))
-    return _canonical(left), _canonical(right)
 
 
 # --- homomorphisms ---------------------------------------------------------
@@ -672,9 +621,6 @@ class _Hom:
     def __call__(self, a: int) -> int:
         return self.mapping[a]
 
-    def is_valid(self) -> bool:
-        return not self.violations()
-
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 
@@ -696,18 +642,6 @@ class AlgHom(_Hom):
     def violations(self) -> list[Violation]:
         """Failures to preserve the operations and constants of the common signature."""
         return _preservation_violations(self.mapping, _alg_ops(self.source, self.target))
-
-
-def identity_alg_hom(A: FiniteAlgebra) -> AlgHom:
-    return AlgHom(A, A, tuple(range(A.size)))
-
-
-def compose_alg_homs(second: AlgHom, first: AlgHom) -> AlgHom:
-    if first.target != second.source:
-        raise ValueError("Homs do not compose: the first target is not the second source.")
-    return AlgHom(
-        first.source, second.target, tuple(second.mapping[v] for v in first.mapping)
-    )
 
 
 def enumerate_homs(

@@ -163,15 +163,9 @@ def lift_embedding(
 
 def _restrict(phi: AlgHom, src: RParts, tgt: RParts) -> GroupHom:
     """The group map that an embedding between expansions induces on their group parts."""
+    # an embedding keeps 1 and the product, so it sends invertibles to invertibles: never to a bound
     tgt_index = {a: i for i, a in enumerate(tgt.to_algebra)}
-    mapping = []
-    for a in src.to_algebra:
-        if phi.mapping[a] not in tgt_index:
-            raise ValueError(
-                "Internal inconsistency: embedding sends a group element to a bound."
-            )
-        mapping.append(tgt_index[phi.mapping[a]])
-    return GroupHom(src.group, tgt.group, tuple(mapping))
+    return GroupHom(src.group, tgt.group, tuple(tgt_index[phi.mapping[a]] for a in src.to_algebra))
 
 
 def restrict_embedding(beta: AlgHom) -> GroupHom:
@@ -215,15 +209,21 @@ class MembershipResult:
         return f"no ({self.failed}, witness {list(self.witness)})"
 
 
-@lru_cache(maxsize=4096)
 def member_K(A: FiniteAlgebra, query: KClassQuery) -> MembershipResult:
     """Decide membership in the class generated over the prime set.
 
     A nontrivial member must pass ``split_R``, the shape of ``build_R``
     output, and the torsion quasi-equations.  A yes answer carries the
     reconstructed group and a verified isomorphism, so it can be
-    independently re-checked.  Pure, so results are cached.
+    independently re-checked.  Pure, so results are cached, keyed on the
+    element names too: algebra equality ignores them, but the group and
+    ``canon.source`` carry them.
     """
+    return _member_K(A, A.names, query)
+
+
+@lru_cache(maxsize=4096)
+def _member_K(A: FiniteAlgebra, names: tuple | None, query: KClassQuery) -> MembershipResult:
     if A.signature != query.signature:
         raise ValueError(
             f"Algebra signature {sorted(A.signature)} does not match the query "
@@ -255,3 +255,7 @@ def member_K(A: FiniteAlgebra, query: KClassQuery) -> MembershipResult:
     if canon.violations():
         return MembershipResult(member=False, failed="structure-mismatch", witness=())
     return MembershipResult(member=True, parts=parts, canon=canon)
+
+
+member_K.cache_info = _member_K.cache_info  # type: ignore[attr-defined]
+member_K.cache_clear = _member_K.cache_clear  # type: ignore[attr-defined]

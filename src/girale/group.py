@@ -277,10 +277,6 @@ def _group_ops(source: FiniteGroup, target: FiniteGroup) -> _Ops:
     )
 
 
-def identity_hom(group: FiniteGroup) -> GroupHom:
-    return GroupHom(group, group, tuple(range(group.size)))
-
-
 def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
     """Smallest subgroup containing the generators (closure under the product)."""
     closed = {group.identity}
@@ -416,16 +412,6 @@ def abelian_group_catalog(max_order: int) -> list[tuple[int, ...]]:
 
     extend((), 1)
     return sorted(out, key=lambda c: (math.prod(c), c))
-
-
-def group_to_json(group: FiniteGroup) -> dict:
-    return {
-        "size": group.size,
-        "table": [list(row) for row in group.table],
-        "identity": group.identity,
-        "names": list(group.element_names),
-        "invariant_factors": list(group.invariant_factors),
-    }
 
 
 def group_from_json(data: dict) -> FiniteGroup:

@@ -261,16 +261,6 @@ def steps_from_json(data: Sequence[dict]) -> tuple[Step, ...]:
     )
 
 
-def steps_to_json(steps: Sequence[Step]) -> list[dict]:
-    out = []
-    for step in steps:
-        entry: dict = {"formula": render(step.formula), "rule": step.rule}
-        if step.refs:
-            entry["refs"] = list(step.refs)
-        out.append(entry)
-    return out
-
-
 def load_hilbert_corpus() -> list[dict]:
     """The shipped derivation corpus: name, system, and parsed steps per entry."""
     raw = json.loads(

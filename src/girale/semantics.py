@@ -11,8 +11,11 @@ batch holds algebras that have every symbol the formulas use and whose grid
 fits ``MAX_GRID``, and ends before its cells pass ``MAX_GRID`` or its
 elements 256 (so that it indexes in uint16); any other algebra is a batch of
 its own.  Within one call each distinct subformula is evaluated once.
-Interpolant search enumerates candidates by size with value-vector
-deduplication and re-verifies any hit with a separate scalar evaluator.
+Interpolant search reads one candidate stream, smallest first, and judges
+each candidate whose value vector is new.  Three evaluators serve the whole
+search: one over the atoms gives the value vectors, and one over phi and one
+over psi judge the two sides, evaluating phi and psi once per batch.  A hit
+is re-verified by the separate scalar evaluator.
 """
 
 from __future__ import annotations
@@ -368,6 +371,22 @@ def _atoms(shared: Sequence[str], signature: frozenset[str]) -> list[Formula]:
     return [*map(Var, shared), *constants]
 
 
+def _candidates(atoms: list[Formula], by_size: dict[int, list[Formula]], bang: bool,
+                max_size: int) -> Iterator[Formula]:
+    """The atoms, then for each size up to ``max_size`` each connective in
+    ``OPS`` order by left size, then the guard, over the kept candidates of
+    smaller sizes that the caller files in ``by_size``."""
+    yield from atoms
+    for target in range(2, max_size + 1):
+        for op in OPS:
+            for left_size in range(1, target - 1):
+                for left in by_size.get(left_size, ()):
+                    for right in by_size.get(target - 1 - left_size, ()):
+                        yield BinOp(op, left, right)
+        if bang:
+            yield from map(Bang, by_size.get(target - 1, ()))
+
+
 def interpolant_search(
     algebras: Sequence[FiniteAlgebra],
     phi: Formula,
@@ -387,6 +406,8 @@ def interpolant_search(
     """
     if mode not in MODES:
         raise ValueError(f"Unknown mode {mode!r}; expected one of {MODES}.")
+    if depth < 0:
+        raise ValueError("The search depth must be non-negative.")
     algebras = tuple(algebras)
     if not algebras:
         raise ValueError("Interpolant search needs at least one algebra.")
@@ -408,73 +429,32 @@ def interpolant_search(
             countermodel=entailment.countermodel,
         )
 
-    shared = sorted(free_variables(phi) & free_variables(psi))
-
-    def recheck(sides: tuple[tuple[str, Formula, Formula], ...]) -> tuple[Judgment, ...] | None:
-        """Independent scalar verification; certificate of the two judgments."""
-        items = []
-        for description, a, b in sides:
-            slow = consequence_slow(algebras, *entails(a, b))
-            items.append(Judgment(description, slow.holds))
-            if not slow.holds:
-                return None
-        return tuple(items)
-
+    atoms = _atoms(sorted(free_variables(phi) & free_variables(psi)), signature)
     # every batch now: an oversized grid raises before the first candidate
-    batches = list(_Evaluator(algebras, _atoms(shared, signature)).batches())
-
-    def vector_key(delta: Formula) -> bytes:  # no value is kept: no formula is shared
-        return b"|".join(batch.value(delta).tobytes() for batch in batches)
-
+    batches = list(_Evaluator(algebras, atoms).batches())
+    # phi and psi given twice are shared: each batch keeps their values
+    left, right = _Evaluator(algebras, (phi, phi)), _Evaluator(algebras, (psi, psi))
     seen: set[bytes] = set()
     by_size: dict[int, list[Formula]] = {}
     tried = 0
-    max_size_cap = min(2 ** (depth + 1) - 1, 33)
-
-    def consider(delta: Formula) -> InterpolationResult | None:
-        nonlocal tried
-        key = vector_key(delta)
+    for delta in _candidates(atoms, by_size, "bang" in signature, min(2 ** (depth + 1) - 1, 33)):
+        if tried >= max_candidates:
+            break
+        if formula_depth(delta) > depth:
+            continue
+        key = b"|".join(batch.value(delta).tobytes() for batch in batches)
         if key in seen:
-            return None
+            continue
         seen.add(key)
         by_size.setdefault(formula_size(delta), []).append(delta)
         tried += 1
+        if not (left.consequence(*entails(phi, delta)).holds
+                and right.consequence(*entails(delta, psi)).holds):
+            continue
+        # the certificate: both judgments re-decided by the scalar evaluator
         sides = ((left_judgment, phi, delta), (right_judgment, delta, psi))
-        if all(consequence(algebras, *entails(a, b)).holds for _, a, b in sides):
-            certificate = recheck(sides)
-            if certificate is not None:
-                return InterpolationResult("found", mode, delta, certificate,
-                                           candidates_tried=tried)
-        return None
-
-    for atom in _atoms(shared, signature):
-        if tried >= max_candidates:
-            break
-        hit = consider(atom)
-        if hit is not None:
-            return hit
-
-    for target in range(2, max_size_cap + 1):
-        if tried >= max_candidates:
-            break
-        for op in ("and", "or", "mul", "imp"):
-            for left_size in range(1, target - 1):
-                right_size = target - 1 - left_size
-                for left in by_size.get(left_size, []):
-                    for right in by_size.get(right_size, []):
-                        candidate = BinOp(op, left, right)
-                        if formula_depth(candidate) > depth or tried >= max_candidates:
-                            continue
-                        hit = consider(candidate)
-                        if hit is not None:
-                            return hit
-        if "bang" in signature:
-            for child in by_size.get(target - 1, []):
-                candidate = Bang(child)
-                if formula_depth(candidate) > depth or tried >= max_candidates:
-                    continue
-                hit = consider(candidate)
-                if hit is not None:
-                    return hit
-
+        certificate = tuple(Judgment(text, consequence_slow(algebras, *entails(a, b)).holds)
+                            for text, a, b in sides)
+        if all(judgment.holds for judgment in certificate):
+            return InterpolationResult("found", mode, delta, certificate, candidates_tried=tried)
     return InterpolationResult(status="exhausted", mode=mode, candidates_tried=tried)

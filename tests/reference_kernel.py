@@ -5,7 +5,9 @@ in the report order of ``girale.algebra``: each law's witnesses in
 lexicographic order, and where a loop tests two laws per witness, both are
 reported at that witness.  The tests require the kernel to equal them
 exactly: the same violations in the same order, the same ``NotResiduated``
-arguments and the same first group-table error.  The hom searches and
+arguments and the same first group-table error.  ``refines`` and
+``is_congruence`` check the congruence order and the congruences that
+``congruence_set`` computes.  The hom searches and
 preservation loops are the two separate engines for algebras and groups:
 the shared engine must list the same maps in the same order and report the
 same violations.  The group layer at the end computes each fact its own way:
@@ -23,7 +25,11 @@ every cell, and ``member_K`` with its own bound search and copy of the sentences
 over a ``split_R`` that scans for the bounds and checks the interior closed.
 The semantics section keeps the ``consequence`` loop that evaluates every
 formula per algebra over its own int64 grid, with no memo, and
-``deduction_check`` as three such calls.
+``deduction_check`` as three such calls.  ``interpolant_search`` is the
+search before its candidates became one stream: one loop each for atoms,
+products and guards, each with its own cap and depth check, and a fresh
+such call for every judgment (its value vectors still come from girale's
+evaluator).
 """
 
 from __future__ import annotations
@@ -49,7 +55,19 @@ from girale.capacity import CapacityError, guard
 from girale.formula import CONSTS, ONE, OPS, ZERO, Bang, BinOp, Const, Formula, Var, free_variables
 from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization, group_from_table
 from girale.proofs import Sequent, SequentProof, _check_fragment
-from girale.semantics import MAX_GRID, ConsequenceResult, DeductionReport
+from girale.formula import depth as formula_depth, size as formula_size
+from girale.semantics import (
+    MAX_GRID,
+    MODES,
+    _READINGS,
+    ConsequenceResult,
+    DeductionReport,
+    InterpolationResult,
+    Judgment,
+    _atoms,
+    _Evaluator,
+    consequence_slow,
+)
 
 
 def residuals_from_mult(meet: Table, join: Table, mult: Table) -> Table:
@@ -199,6 +217,39 @@ def check_signature_laws(A: FiniteAlgebra) -> ClassReport:
     if A.bang is not None:
         violations += bang_violations(A)
     return ClassReport(not violations, tuple(violations))
+
+
+def refines(p: Sequence[int], q: Sequence[int]) -> bool:
+    """True iff every p-block is inside a q-block (p <= q in the congruence order)."""
+    seen: dict[int, int] = {}
+    for x in range(len(p)):
+        if p[x] in seen:
+            if q[x] != seen[p[x]]:
+                return False
+        else:
+            seen[p[x]] = q[x]
+    return True
+
+
+def is_congruence(A: FiniteAlgebra, labels: Sequence[int]) -> bool:
+    """True iff the labelling's blocks are compatible with every operation."""
+    n = A.size
+    first: dict[int, int] = {}
+    for x in range(n):
+        lab = labels[x]
+        if lab not in first:
+            first[lab] = x
+            continue
+        r = first[lab]
+        for t in _binary_tables(A):
+            for z in range(n):
+                if labels[t[x][z]] != labels[t[r][z]]:
+                    return False
+                if labels[t[z][x]] != labels[t[z][r]]:
+                    return False
+        if A.bang is not None and labels[A.bang[x]] != labels[A.bang[r]]:
+            return False
+    return True
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> None:
@@ -1129,3 +1180,115 @@ def deduction_check(
     guarded_arrow = consequence(algebras, premises, BinOp("imp", Bang(phi), psi))
     guarded_both = consequence(algebras, premises, BinOp("imp", Bang(phi), Bang(psi)))
     return DeductionReport(with_premise, guarded_arrow, guarded_both)
+
+
+def interpolant_search(
+    algebras: Sequence[FiniteAlgebra],
+    phi: Formula,
+    psi: Formula,
+    mode: str,
+    depth: int,
+    mixed_guard: bool = False,
+    max_candidates: int = 5000,
+) -> InterpolationResult:
+    """Bounded search for a middle formula over the shared variables.
+
+    Candidates are generated smallest first; syntactically distinct
+    candidates with equal value vectors over the catalog are tested once.
+    ``mixed_guard`` switches guarded mode to the half-guarded reading where
+    only the antecedent of each certificate judgment carries the guard.
+    Exhaustion is a bounded-search outcome, not a refutation.
+    """
+    if mode not in MODES:
+        raise ValueError(f"Unknown mode {mode!r}; expected one of {MODES}.")
+    algebras = tuple(algebras)
+    if not algebras:
+        raise ValueError("Interpolant search needs at least one algebra.")
+    signatures = {A.signature for A in algebras}
+    if len(signatures) != 1:
+        raise ValueError("All algebras must share one signature.")
+    signature = next(iter(signatures))
+    if mode == "guarded" and "bang" not in signature:
+        raise ValueError("Guarded mode needs the guard in the signature.")
+
+    reading = "half-guarded" if mode == "guarded" and mixed_guard else mode
+    entails, left_judgment, right_judgment = _READINGS[reading]
+    entailment = consequence(algebras, *entails(phi, psi))
+    if not entailment.holds:
+        return InterpolationResult(
+            status="refused",
+            mode=mode,
+            algebra_index=entailment.algebra_index,
+            countermodel=entailment.countermodel,
+        )
+
+    shared = sorted(free_variables(phi) & free_variables(psi))
+
+    def recheck(sides: tuple[tuple[str, Formula, Formula], ...]) -> tuple[Judgment, ...] | None:
+        """Independent scalar verification; certificate of the two judgments."""
+        items = []
+        for description, a, b in sides:
+            slow = consequence_slow(algebras, *entails(a, b))
+            items.append(Judgment(description, slow.holds))
+            if not slow.holds:
+                return None
+        return tuple(items)
+
+    # every batch now: an oversized grid raises before the first candidate
+    batches = list(_Evaluator(algebras, _atoms(shared, signature)).batches())
+
+    def vector_key(delta: Formula) -> bytes:  # no value is kept: no formula is shared
+        return b"|".join(batch.value(delta).tobytes() for batch in batches)
+
+    seen: set[bytes] = set()
+    by_size: dict[int, list[Formula]] = {}
+    tried = 0
+    max_size_cap = min(2 ** (depth + 1) - 1, 33)
+
+    def consider(delta: Formula) -> InterpolationResult | None:
+        nonlocal tried
+        key = vector_key(delta)
+        if key in seen:
+            return None
+        seen.add(key)
+        by_size.setdefault(formula_size(delta), []).append(delta)
+        tried += 1
+        sides = ((left_judgment, phi, delta), (right_judgment, delta, psi))
+        if all(consequence(algebras, *entails(a, b)).holds for _, a, b in sides):
+            certificate = recheck(sides)
+            if certificate is not None:
+                return InterpolationResult("found", mode, delta, certificate,
+                                           candidates_tried=tried)
+        return None
+
+    for atom in _atoms(shared, signature):
+        if tried >= max_candidates:
+            break
+        hit = consider(atom)
+        if hit is not None:
+            return hit
+
+    for target in range(2, max_size_cap + 1):
+        if tried >= max_candidates:
+            break
+        for op in ("and", "or", "mul", "imp"):
+            for left_size in range(1, target - 1):
+                right_size = target - 1 - left_size
+                for left in by_size.get(left_size, []):
+                    for right in by_size.get(right_size, []):
+                        candidate = BinOp(op, left, right)
+                        if formula_depth(candidate) > depth or tried >= max_candidates:
+                            continue
+                        hit = consider(candidate)
+                        if hit is not None:
+                            return hit
+        if "bang" in signature:
+            for child in by_size.get(target - 1, []):
+                candidate = Bang(child)
+                if formula_depth(candidate) > depth or tried >= max_candidates:
+                    continue
+                hit = consider(candidate)
+                if hit is not None:
+                    return hit
+
+    return InterpolationResult(status="exhausted", mode=mode, candidates_tried=tried)

@@ -1,6 +1,6 @@
 import pytest
 
-from girale.algebra import AlgHom, identity_alg_hom, trivial_algebra
+from girale.algebra import AlgHom, trivial_algebra
 from girale.amalgam import (
     Amalgam,
     Span,
@@ -22,6 +22,10 @@ def unit_map(target):
     return AlgHom(trivial_algebra(), target, (target.one,))
 
 
+def identity(algebra):
+    return AlgHom(algebra, algebra, tuple(range(algebra.size)))
+
+
 def test_amalgamate_coprime_over_trivial():
     query = KClassQuery(PrimeSet.of(2), frozenset())
     b, c = build_R(Z3), build_R(Z5)
@@ -37,7 +41,7 @@ def test_amalgamate_coprime_over_trivial():
 def test_amalgamate_identity_span():
     query = KClassQuery(PrimeSet.of(2), frozenset())
     algebra = build_R(Z3)
-    span = Span(algebra, algebra, algebra, identity_alg_hom(algebra), identity_alg_hom(algebra))
+    span = Span(algebra, algebra, algebra, identity(algebra), identity(algebra))
     amalgam = amalgamate(span, query)
     assert split_R(amalgam.D).group.invariant_factors == (3,)
     assert verify_amalgam(span, amalgam, strong=True).passed
@@ -54,7 +58,7 @@ def test_amalgamate_absorbs_bigger_leg():
         small,
         small,
         big,
-        identity_alg_hom(small),
+        identity(small),
         AlgHom(small, big, lifted.mapping),
     )
     amalgam = amalgamate(span, query)
@@ -93,7 +97,7 @@ def test_amalgamate_all_trivial():
 def test_amalgamate_rejects_non_members():
     query = KClassQuery(PrimeSet.of(3), frozenset())
     algebra = build_R(Z3)  # has an order-3 element, so it is out for P={3}
-    span = Span(algebra, algebra, algebra, identity_alg_hom(algebra), identity_alg_hom(algebra))
+    span = Span(algebra, algebra, algebra, identity(algebra), identity(algebra))
     with pytest.raises(ValueError):
         amalgamate(span, query)
 
@@ -105,7 +109,7 @@ def test_amalgamate_rejects_broken_span():
     mapping[0], mapping[1] = mapping[1], mapping[0]
     crooked = AlgHom(algebra, algebra, tuple(mapping))  # moves the unit: not a hom
     with pytest.raises(ValueError):
-        amalgamate(Span(algebra, algebra, algebra, crooked, identity_alg_hom(algebra)), query)
+        amalgamate(Span(algebra, algebra, algebra, crooked, identity(algebra)), query)
 
 
 def test_span_rejects_bad_forms_when_built():
@@ -119,11 +123,11 @@ def test_span_rejects_bad_forms_when_built():
     mapping = list(range(b.size))
     mapping[0], mapping[1] = mapping[1], mapping[0]
     with pytest.raises(ValueError, match=r"phi1 is not a homomorphism \(hom-one"):
-        Span(b, b, b, AlgHom(b, b, tuple(mapping)), identity_alg_hom(b))
+        Span(b, b, b, AlgHom(b, b, tuple(mapping)), identity(b))
     collapse = AlgHom(b, t, (0,) * b.size)
     assert not collapse.violations()
     with pytest.raises(ValueError, match="phi2 is not injective"):
-        Span(b, b, t, identity_alg_hom(b), collapse)
+        Span(b, b, t, identity(b), collapse)
 
 
 def test_catalog_spans_build():
@@ -148,8 +152,8 @@ def test_verify_amalgam_catches_corruption():
 def test_identity_amalgam_is_strong():
     query = KClassQuery(PrimeSet.of(2), frozenset())
     algebra = build_R(Z3)
-    span = Span(algebra, algebra, algebra, identity_alg_hom(algebra), identity_alg_hom(algebra))
-    amalgam = Amalgam(algebra, identity_alg_hom(algebra), identity_alg_hom(algebra))
+    span = Span(algebra, algebra, algebra, identity(algebra), identity(algebra))
+    amalgam = Amalgam(algebra, identity(algebra), identity(algebra))
     report = verify_amalgam(span, amalgam, strong=True)
     assert report.passed and report.strong
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from girale.algebra import check_signature_laws, enumerate_homs, trivial_algebra
@@ -12,7 +14,7 @@ from girale.construct import (
     restrict_embedding,
     split_R,
 )
-from girale.group import PrimeSet, abelian_group_catalog, check_sigma, group_homs, identity_hom, make_group
+from girale.group import GroupHom, PrimeSet, abelian_group_catalog, check_sigma, group_homs, make_group
 
 Z2 = make_group([2])
 Z3 = make_group([3])
@@ -147,7 +149,7 @@ def test_lift_and_restrict_roundtrip():
 
 
 def test_lift_identity_and_trivial():
-    beta = lift_embedding(identity_hom(Z3))
+    beta = lift_embedding(GroupHom(Z3, Z3, (0, 1, 2)))
     assert beta.mapping == (0, 1, 2, 3, 4)
     gamma = lift_embedding(group_homs(TRIVIAL, Z2, injective_only=True)[0])
     assert gamma.source.size == 3 and gamma.target.size == 4
@@ -181,6 +183,19 @@ def test_member_K_separation():
     assert not no.member
     assert no.failed == "sigma-3"
     assert no.witness and no.witness[0] in (1, 2)
+
+
+def test_member_K_reports_the_names_it_is_given():
+    """An equal algebra under other element names is not answered from the
+    cache entry of the first: its group and canonical map carry its names."""
+    A = build_R(Z3)
+    query = KClassQuery(PrimeSet.of(2), A.signature)
+    assert member_K(A, query).group.element_names == ("1", "a", "a2")
+    renamed = dataclasses.replace(A, names=("u", "v", "w", "lo", "hi"))
+    result = member_K(renamed, query)
+    assert result.group.element_names == ("u", "v", "w")
+    assert result.canon.source.names == renamed.names
+    assert member_K(A, query).canon.source.names == A.names
 
 
 def test_member_K_trivial():

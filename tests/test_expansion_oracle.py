@@ -106,8 +106,7 @@ FAMILY += [_reversed(A) for A in FAMILY]
 
 
 def _new_verdict(A, primes):
-    # uncached: the cache key ignores element names, which the group carries
-    result = member_K.__wrapped__(A, KClassQuery(primes, A.signature))
+    result = member_K(A, KClassQuery(primes, A.signature))
     canon = result.canon.mapping if result.canon is not None else None
     return (result.member, result.trivial, result.failed, result.witness, result.group, canon)
 

@@ -185,6 +185,8 @@ def test_interpolant_guarded_needs_guard_signature():
         interpolant_search([RZ2], parse("x"), parse("x"), "guarded", 2)
     with pytest.raises(ValueError):
         interpolant_search([RZ2], parse("x"), parse("x"), "sideways", 2)
+    with pytest.raises(ValueError, match="depth must be non-negative"):
+        interpolant_search([RZ2], parse("x"), parse("x"), "craig", -1)
 
 
 def test_interpolant_refused_with_countermodel():

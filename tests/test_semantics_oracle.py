@@ -8,6 +8,9 @@ constant and ``!``.  Some examples lower
 ``MAX_GRID`` and the batch element bound, so that batches split and grids
 run over capacity part way through a catalog.  Results must be equal, or
 both sides must raise the same exception type with the same message.
+Interpolant search is held to the loop it replaced on R(Z1), R(Z2) and
+R(Z3) in the full signature: the same status, interpolant, certificate,
+candidate count and countermodel.
 """
 
 import dataclasses
@@ -18,7 +21,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from girale import semantics
@@ -26,7 +29,8 @@ from girale.capacity import CapacityError
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.formula import OPS, Bang, BinOp, Const, Var, parse
 from girale.group import abelian_group_catalog, make_group
-from girale.semantics import consequence, consequence_slow, deduction_check
+from girale.formula import render
+from girale.semantics import consequence, consequence_slow, deduction_check, interpolant_search
 
 from tests import reference_kernel as ref
 from tests.conftest import bounded_involutive_chain
@@ -41,8 +45,9 @@ GIRALES = [A for A in ALGEBRAS if A.bang is not None]
 
 ORACLE = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
+ATOMS = [Var("x"), Var("y"), Var("z"), Const("1"), Const("0"), Const("bot"), Const("top")]
 formulas = st.recursive(
-    st.sampled_from([Var("x"), Var("y"), Var("z"), Const("1"), Const("0"), Const("bot"), Const("top")]),
+    st.sampled_from(ATOMS),
     lambda inner: st.one_of(
         st.builds(Bang, inner),
         st.builds(BinOp, st.sampled_from(OPS), inner, inner),
@@ -96,6 +101,36 @@ def test_deduction_check_equals_reference(algebras, premises, phi, psi, limit):
     with new_limits, ref_limit:
         expected = outcome(ref.deduction_check, algebras, premises, phi, psi)
         assert outcome(deduction_check, algebras, premises, phi, psi) == expected
+
+
+SMALL_GIRALES = [build_R(make_group([n]), SIGNATURE_FULL) for n in (1, 2, 3)]
+small_formulas = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda inner: st.one_of(st.builds(Bang, inner), st.builds(BinOp, st.sampled_from(OPS), inner, inner)),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(st.sampled_from(SMALL_GIRALES), min_size=1, max_size=3),
+    small_formulas,
+    small_formulas,
+    st.sampled_from([("deductive", False), ("craig", False), ("guarded", False), ("guarded", True)]),
+    st.integers(0, 3),
+    st.integers(1, 500),
+)
+# the depth filter decides this one: it keeps out x * (x * (x * x)), of depth 3
+@example(SMALL_GIRALES[1:], parse("x * x * x * x /\\ u"), parse("x * x * x * x \\/ v"),
+         ("craig", False), 2, 500)
+def test_interpolant_search_equals_reference(algebras, phi, psi, reading, depth, cap):
+    mode, mixed_guard = reading
+    args = (algebras, phi, psi, mode, depth, mixed_guard, cap)
+    expected, result = ref.interpolant_search(*args), interpolant_search(*args)
+    event(expected.status)
+    assert result == expected
+    if expected.interpolant is not None:
+        assert render(result.interpolant) == render(expected.interpolant)
 
 
 def test_premises_and_algebras_read_once():

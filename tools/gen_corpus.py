@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import abelian_group_catalog, make_group
-from girale.proofs import SYSTEMS, Step, check_derivation, steps_to_json
-from girale.formula import parse
+from girale.proofs import SYSTEMS, Step, check_derivation
+from girale.formula import parse, render
 from girale.semantics import valid
 
 # (name, system, steps); each step is (formula, rule) or (formula, rule, refs)
@@ -287,6 +287,16 @@ def to_steps(raw) -> tuple[Step, ...]:
         refs = tuple(item[2]) if len(item) > 2 else ()
         steps.append(Step(parse(formula), rule, refs))
     return tuple(steps)
+
+
+def steps_to_json(steps: tuple[Step, ...]) -> list[dict]:
+    out = []
+    for step in steps:
+        entry: dict = {"formula": render(step.formula), "rule": step.rule}
+        if step.refs:
+            entry["refs"] = list(step.refs)
+        out.append(entry)
+    return out
 
 
 def main() -> None:
