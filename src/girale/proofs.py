@@ -9,6 +9,13 @@ the left residual, so order-sensitive sequents genuinely fail.  Every
 backward rule shrinks the sequent, so a failure the depth bound never cut
 off has covered the whole cut-free space: by cut elimination for FLe and
 FL the sequent is unprovable, and the failure is memoised at every budget.
+Two sound prunings decide most failures early.  Count each atom +1 in the
+succedent and -1 in the antecedent, flipped left of an implication: every
+rule keeps 0 within each atom's interval of counts over the choices of
+additive branches, so a goal whose interval misses 0 is unprovable.  And
+->r, *l, /\\r, \\/l and 1l are invertible, their premises following from
+their goal by cut: once such a premise fails at every budget, so does the
+goal, and no later instance is tried.
 Search and proof checking run over int codes for the subformulas of the
 root sequent, through one rule table for both calculi.  A Maehara-style
 split of a cut-free proof yields midpoint formulas by one side rule: a
@@ -24,7 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib.resources import files
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import OPTIONAL_SYMBOLS
 from .formula import (
@@ -337,6 +344,8 @@ def _sorted_ms(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
 
 Goal = tuple[tuple[int, ...], int | None]  # antecedent and succedent codes
 _NEVER = (None, float("inf"))  # the memo entry of a goal that fails at every budget
+# the rules whose goal is provable just when their premises are
+_INVERTIBLE = frozenset({"->r", "*l", "/\\r", "\\/l", "1l"})
 
 
 def _sorted_tuple(codes: Iterable[int]) -> tuple[int, ...]:
@@ -394,6 +403,40 @@ class _Calculus:
             if type(f) is BinOp:
                 self.op[i], self.left[i], self.right[i] = f.op, code[f.left], code[f.right]
         self.one, self.zero = code.get(ONE, -1), code.get(ZERO, -1)
+
+    def count_test(self) -> Callable[[Goal], bool]:
+        """The balance test: whether, for every atom, 0 lies in the goal's
+        interval of counts.  Read on the right, an atom counts +1, ``*`` adds
+        its sides, ``a -> b`` is ``b`` minus ``a``, ``/\\`` and ``\\/`` take
+        the hull of their sides and constants count 0; the antecedent counts
+        negated.  A code's row is its lows, then its negated highs, so the
+        test is that no column of a goal's rows sums above 0."""
+        atoms = sum(type(f) is Var for f in self.formulas)  # variables sort first
+        on_right: list = [None] * len(self.formulas)
+
+        def fill(c: int) -> tuple[int, ...]:  # children first, which code order is not
+            if on_right[c] is None:
+                kind = self.op[c]
+                if kind is None:  # an atom, or a constant
+                    unit = [int(i == c) for i in range(atoms)]
+                    on_right[c] = (*unit, *map(int.__neg__, unit))
+                else:
+                    a, b = fill(self.left[c]), fill(self.right[c])
+                    if kind == "imp":  # a is read on the left: its halves swap
+                        a = a[atoms:] + a[:atoms]
+                    on_right[c] = tuple(map(min if kind in ("and", "or") else int.__add__, a, b))
+            return on_right[c]
+
+        on_left = [row[atoms:] + row[:atoms] for row in map(fill, range(len(on_right)))]
+
+        def balanced(goal: Goal) -> bool:
+            ant, succ = goal
+            rows = [on_left[f] for f in ant]
+            if succ is not None:
+                rows.append(on_right[succ])
+            return max(map(sum, zip(*rows)), default=0) <= 0
+
+        return balanced
 
     def encode(self, seq: Sequent) -> Goal | None:
         """The coded goal, or None if it holds a formula outside the root's."""
@@ -464,12 +507,23 @@ def search_sequent(
 ) -> tuple[SequentProof | None, bool]:
     """Backward cut-free search up to the given proof depth: the first proof
     found or None, and whether that answer holds at every bound (after a
-    failure: whether no branch it depends on was cut off by the bound)."""
+    failure: whether no branch it depends on was cut off by the bound).
+
+    Two failures are decided without search, and memoised at every budget
+    with no cut-off.  A goal that fails the count test (``count_test``) has
+    no proof: each axiom's interval holds 0, and each rule's holds that of
+    each premise or, for the splits ``*r`` and ``->l``, their sum.  And
+    a goal one of whose invertible rules has a premise that fails at every
+    budget is unprovable: a proof of the goal and a cut give one of the
+    premise, and cut elimination a cut-free one.  Neither pruning skips a
+    provable goal, so whether a proof is found does not change.  Which proof,
+    and whether a failure is exhaustive, can: the memo reuses what an
+    earlier goal found, and a pruned subtree finds nothing."""
     if bound < 1:
         raise ValueError("bound must be at least 1.")
     _check_fragment(seq)
     calculus = _Calculus(seq, with_exchange)
-    instances, formulas = calculus.instances, calculus.formulas
+    instances, formulas, balanced = calculus.instances, calculus.formulas, calculus.count_test()
     # a goal's proof and its depth, or None and the budget it failed at
     memo: dict[Goal, tuple[SequentProof | None, float]] = {}
     cuts = 0  # cut-offs below the failures still open on the call stack
@@ -487,6 +541,9 @@ def search_sequent(
             elif value >= budget:  # failed at this depth or deeper already
                 cuts += hit is not _NEVER
                 return None
+        elif not balanced(goal):
+            memo[goal] = _NEVER
+            return None
         if budget < 1:
             cuts += 1
             return None
@@ -504,6 +561,10 @@ def search_sequent(
                 memo[goal] = (proof, proof.depth())
                 cuts = before  # cut-offs under a proof decide nothing
                 return proof
+            if rule in _INVERTIBLE and memo.get(premise) is _NEVER:
+                memo[goal] = _NEVER  # so cut-offs under it decide nothing either
+                cuts = before
+                return None
         # every backward rule shrinks the sequent, so goal recurs in no subtree,
         # and a failure memoised at budget or deeper has returned above; one
         # never cut off covered the whole cut-free space and fails at any budget

@@ -139,12 +139,18 @@ def test_prove_exhaustive_failure_is_unprovable(capsys):
     assert code == 1
     assert doc["result"]["status"] == "unprovable"
     assert "exhaustive cut-free search" in doc["result"]["note"]
-    # cut off at bound 1, so not decided
+    # decided at bound 1 too: the one premise, => x -> 0, has x unbalanced
     code, doc = invoke_json(capsys, ["prove", "--sequent", "(x -> 0) -> 0 => x", "--bound", "1"])
+    assert code == 1 and doc["result"]["status"] == "unprovable"
+    # balanced, and cut off at bound 1, so not decided
+    code, doc = invoke_json(capsys, ["prove", "--sequent", "x, x -> y => y * 1", "--bound", "1"])
     assert code == 0 and doc["result"]["status"] == "unknown"
 
 
 NINE_ATOMS = ", ".join(f"a{i}" for i in range(9)) + " => b * c"
+ELEVEN_BALANCED = ", ".join(f"a{i}" for i in range(9)) + ", b, c => " + " * ".join(
+    [f"a{i}" for i in range(9)] + ["b", "c"]
+)
 
 
 def test_prove_over_capacity_countermodel_search_keeps_a_decided_verdict(capsys):
@@ -157,8 +163,9 @@ def test_prove_over_capacity_countermodel_search_keeps_a_decided_verdict(capsys)
         "bound": 12,
         "note": "certificate: exhaustive cut-free search, never cut off at the bound",
     }
-    # cut off at bound 1: nothing is decided, so the capacity error stands
-    code, doc = invoke_json(capsys, ["prove", "--sequent", NINE_ATOMS, "--bound", "1"])
+    # every atom balances, and the search is cut off at bound 1: nothing is
+    # decided, so the capacity error stands
+    code, doc = invoke_json(capsys, ["prove", "--sequent", ELEVEN_BALANCED, "--bound", "1"])
     assert code == 3
     assert "exceeds" in doc["result"]["error"]
 
@@ -178,14 +185,15 @@ def test_prove_without_exchange(capsys):
     assert code == 0 and doc["result"]["status"] == "proved"
 
 
-# name -> (argv, exit code), captured before the search ran over subformula codes
+# name -> (argv, exit code), captured before the search ran over subformula codes;
+# prove-cut-off since, when the count test decided its old sequent at bound 1
 PROVE_PINNED = {
     "prove-arrow-times": (["--sequent", "x, y, x -> z => z * y"], 0),
     "prove-repeated": (["--sequent", "x, x, x -> y, x -> y => y * y"], 0),
     "prove-no-exchange": (["--sequent", "x, x -> y => y", "--no-exchange"], 0),
     "prove-unprovable": (["--sequent", "(x -> 0) -> 0 => x"], 1),
     "prove-refuted": (["--sequent", "a, a -> b, b -> c, c -> d => d * a"], 1),
-    "prove-cut-off": (["--sequent", "(x -> 0) -> 0 => x", "--bound", "1"], 0),
+    "prove-cut-off": (["--sequent", "x, x -> y => y * 1", "--bound", "1"], 0),
 }
 
 

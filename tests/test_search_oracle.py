@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from girale.formula import BinOp, Const, Var, size
 from girale.proofs import (
     Sequent,
+    _Calculus,
     _refutation_catalog,
     parse_sequent,
     search_sequent,
@@ -133,3 +134,62 @@ def test_repeated_antecedent_formulas_match_the_reference(text, with_exchange):
         assert _same(proof, ref.prove_sequent(seq, bound, with_exchange))
         if proof is not None:
             assert not validate_proof(proof, with_exchange)
+
+
+# The search prunes a goal whose count test fails, and commits to failure when
+# a premise of an invertible rule has failed at every budget.  The reference
+# does neither, so at a bound no rule can outgrow it decides each sequent.
+
+
+def _balanced(seq: Sequent, with_exchange: bool) -> bool:
+    calculus = _Calculus(seq, with_exchange)
+    return calculus.count_test()(calculus.encode(seq))
+
+
+@ORACLE
+@given(fragment_sequents(2, 3), st.booleans())
+def test_provable_sequents_pass_the_count_test(seq, with_exchange):
+    if ref.prove_sequent(seq, _sequent_size(seq) + 1, with_exchange) is not None:
+        assert _balanced(seq, with_exchange)
+
+
+@ORACLE
+@given(fragment_sequents(2, 3), st.integers(1, 12), st.booleans())
+def test_pruned_exhaustive_failures_are_unprovable(seq, bound, with_exchange):
+    proof, exhaustive = search_sequent(seq, bound, with_exchange)
+    if proof is None and exhaustive:
+        assert ref.prove_sequent(seq, _sequent_size(seq) + 1, with_exchange) is None
+
+
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_count_test_refutes_at_the_root(with_exchange):
+    # x counts -1 + 1 + 1 over the antecedent x, x -> y and the succedent y * x
+    seq = parse_sequent("x, x -> y => y * x")
+    assert not _balanced(seq, with_exchange)
+    assert search_sequent(seq, 1, with_exchange) == (None, True)
+    assert ref.prove_sequent(seq, _sequent_size(seq) + 1, with_exchange) is None
+
+
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_invertible_rule_commits(with_exchange):
+    # balanced at the root, and 0l is cut off at bound 1; the \/l premise
+    # x => 0 has x unbalanced, so the goal fails at every budget
+    seq = parse_sequent("x \\/ 1 => 0")
+    assert _balanced(seq, with_exchange)
+    assert not _balanced(parse_sequent("x => 0"), with_exchange)
+    assert search_sequent(seq, 1, with_exchange) == (None, True)
+    assert ref.prove_sequent(seq, _sequent_size(seq) + 1, with_exchange) is None
+
+
+# The first instance's premise fails the count test, and a later instance
+# proves the goal: rules that are not invertible commit to nothing.
+LATER_INSTANCE = ["x => y \\/ x", "y /\\ x => x", "x, x -> y => y * 1", "x, y => x * y"]
+
+
+@pytest.mark.parametrize("text", LATER_INSTANCE)
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_failed_premises_of_other_rules_commit_nothing(text, with_exchange):
+    seq = parse_sequent(text)
+    proof, exhaustive = search_sequent(seq, 12, with_exchange)
+    assert proof is not None and exhaustive
+    assert _same(proof, ref.prove_sequent(seq, 12, with_exchange))
