@@ -15,7 +15,9 @@ rule keeps 0 within each atom's interval of counts over the choices of
 additive branches, so a goal whose interval misses 0 is unprovable.  And
 ->r, *l, /\\r, \\/l and 1l are invertible, their premises following from
 their goal by cut: once such a premise fails at every budget, so does the
-goal, and no later instance is tried.
+goal, and no later instance is tried.  The memo reuses proofs found at small
+budgets, which pruned subtrees never find, so the pruned search only decides:
+a proof, or a failure it cut off, comes from the unpruned search.
 Search and proof checking run over int codes for the subformulas of the
 root sequent, through one rule table for both calculi.  A Maehara-style
 split of a cut-free proof yields midpoint formulas by one side rule: a
@@ -509,21 +511,35 @@ def search_sequent(
     found or None, and whether that answer holds at every bound (after a
     failure: whether no branch it depends on was cut off by the bound).
 
-    Two failures are decided without search, and memoised at every budget
-    with no cut-off.  A goal that fails the count test (``count_test``) has
-    no proof: each axiom's interval holds 0, and each rule's holds that of
-    each premise or, for the splits ``*r`` and ``->l``, their sum.  And
-    a goal one of whose invertible rules has a premise that fails at every
-    budget is unprovable: a proof of the goal and a cut give one of the
-    premise, and cut elimination a cut-free one.  Neither pruning skips a
-    provable goal, so whether a proof is found does not change.  Which proof,
-    and whether a failure is exhaustive, can: the memo reuses what an
-    earlier goal found, and a pruned subtree finds nothing."""
+    A pruned search decides first, and most failures end there.  It skips
+    two kinds of failure, memoised at every budget with no cut-off.  A goal
+    that fails the count test (``count_test``) has no proof: each axiom's
+    interval holds 0, and each rule's holds that of each premise or, for the
+    splits ``*r`` and ``->l``, their sum.  And a goal one of whose
+    invertible rules has a premise that fails at every budget is unprovable:
+    a proof of the goal and a cut give one of the premise, and cut
+    elimination a cut-free one.  Neither pruning skips a provable goal, so
+    the pruned search finds a proof just when one exists within the bound.
+    But the proof the unpruned search finds, and whether its failure is
+    exhaustive, depend on what its memo kept from subtrees the pruned search
+    skips.  So a proof, or a failure cut off, is searched again unpruned:
+    the answer is that search's proof, exhaustive if either search was."""
     if bound < 1:
         raise ValueError("bound must be at least 1.")
     _check_fragment(seq)
     calculus = _Calculus(seq, with_exchange)
-    instances, formulas, balanced = calculus.instances, calculus.formulas, calculus.count_test()
+    proof, exhaustive = _search(calculus, seq, bound, calculus.count_test())
+    if proof is None and exhaustive:
+        return None, True
+    return _search(calculus, seq, bound)
+
+
+def _search(
+    calculus: _Calculus, seq: Sequent, bound: int, balanced: Callable[[Goal], bool] | None = None
+) -> tuple[SequentProof | None, bool]:
+    """The memoised search of ``search_sequent``, pruned by the count test
+    ``balanced`` and by commits on invertible rules if it is given."""
+    instances, formulas = calculus.instances, calculus.formulas
     # a goal's proof and its depth, or None and the budget it failed at
     memo: dict[Goal, tuple[SequentProof | None, float]] = {}
     cuts = 0  # cut-offs below the failures still open on the call stack
@@ -541,7 +557,7 @@ def search_sequent(
             elif value >= budget:  # failed at this depth or deeper already
                 cuts += hit is not _NEVER
                 return None
-        elif not balanced(goal):
+        elif balanced is not None and not balanced(goal):
             memo[goal] = _NEVER
             return None
         if budget < 1:
@@ -561,7 +577,7 @@ def search_sequent(
                 memo[goal] = (proof, proof.depth())
                 cuts = before  # cut-offs under a proof decide nothing
                 return proof
-            if rule in _INVERTIBLE and memo.get(premise) is _NEVER:
+            if balanced is not None and rule in _INVERTIBLE and memo.get(premise) is _NEVER:
                 memo[goal] = _NEVER  # so cut-offs under it decide nothing either
                 cuts = before
                 return None
@@ -572,7 +588,7 @@ def search_sequent(
         return None
 
     ant, succ = calculus.encode(seq)  # type: ignore[misc]
-    proof = search((_sorted_tuple(ant) if with_exchange else ant, succ), bound)
+    proof = search((_sorted_tuple(ant) if calculus.exchange else ant, succ), bound)
     memo.clear()  # search refers to itself, so only a cyclic collection would free it
     return proof, cuts == 0
 

@@ -10,7 +10,7 @@ antecedent formulas of depth at most two over three atoms, 1 and 0.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from girale.formula import BinOp, Const, Var, size
@@ -18,6 +18,7 @@ from girale.proofs import (
     Sequent,
     _Calculus,
     _refutation_catalog,
+    _search,
     parse_sequent,
     search_sequent,
     sequent_to_formula,
@@ -72,6 +73,11 @@ def _same(proof, expected) -> bool:
 
 @ORACLE
 @given(fragment_sequents(2, 3), st.integers(1, 12), st.booleans())
+# the reference reuses a /\l2 proof of (1 -> p) /\ p => p found at a small
+# budget in a subtree the count test skips; at budget 3 or more, /\l1 is first
+@example(
+    parse_sequent("p -> r, (1 -> p) /\\ p, (0 /\\ p) /\\ (q /\\ 0) => (0 * p) * (p -> r)"), 6, True
+)
 def test_search_matches_the_reference(seq, bound, with_exchange):
     proof, exhaustive = search_sequent(seq, bound, with_exchange)
     assert _same(proof, ref.prove_sequent(seq, bound, with_exchange))
@@ -178,6 +184,7 @@ def test_invertible_rule_commits(with_exchange):
     assert _balanced(seq, with_exchange)
     assert not _balanced(parse_sequent("x => 0"), with_exchange)
     assert search_sequent(seq, 1, with_exchange) == (None, True)
+    assert _search(_Calculus(seq, with_exchange), seq, 1) == (None, False)
     assert ref.prove_sequent(seq, _sequent_size(seq) + 1, with_exchange) is None
 
 
@@ -193,3 +200,21 @@ def test_failed_premises_of_other_rules_commit_nothing(text, with_exchange):
     proof, exhaustive = search_sequent(seq, 12, with_exchange)
     assert proof is not None and exhaustive
     assert _same(proof, ref.prove_sequent(seq, 12, with_exchange))
+
+
+# The pruned search meets => 0 \/ 0 first at budget 2 and is cut off there,
+# where the unpruned search meets it at budget 3 and covers its whole space;
+# the unpruned search decides these failures.
+DECIDED_UNPRUNED = [
+    "(0 \\/ 0) -> 1 => (p /\\ 0) \\/ (0 \\/ p)",
+    "1, 0, (q \\/ 0) -> (1 \\/ 0) => q \\/ (1 \\/ q)",
+]
+
+
+@pytest.mark.parametrize("text", DECIDED_UNPRUNED)
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_failures_the_pruned_search_cuts_off_stay_exhaustive(text, with_exchange):
+    seq = parse_sequent(text)
+    calculus = _Calculus(seq, with_exchange)
+    assert _search(calculus, seq, 6, calculus.count_test()) == (None, False)
+    assert search_sequent(seq, 6, with_exchange) == (None, True)
