@@ -343,63 +343,64 @@ def _canonical(labels: Iterable) -> Partition:
     return tuple(out)
 
 
-def _binary_tables(A: FiniteAlgebra) -> tuple[Table, ...]:
-    return (A.meet, A.join, A.mult, A.imp)
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
-def _congruence_closure(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
+def _merge(parent: list[int], labels: Partition) -> int:
+    """Union every element with the first of its block; return the merges made."""
+    merges, first = 0, {}
+    for v, label in enumerate(labels):
+        ru, rv = _find(parent, first.setdefault(label, v)), _find(parent, v)
+        if ru != rv:
+            parent[rv] = ru
+            merges += 1
+    return merges
+
+
+def _principal(
+    A: FiniteAlgebra, a: int, b: int, known: dict[tuple[int, int], Partition]
+) -> Partition:
+    """Cg(a, b); a union that relates a pair with a known Cg merges all of it."""
     n = A.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue: list[tuple[int, int]] = []
+    parent, queue = list(range(n)), []
+    blocks = n
 
     def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
+        nonlocal blocks
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx != ry:
-            parent[ry] = rx
-            queue.append((x, y))
-
-    blocks = n
-    for x, y in pairs:
-        union(x, y)
-    tables = _binary_tables(A)
-    while queue:
-        # every merged pair must be propagated once, even if later unions
-        # already joined the classes by another route
-        x, y = queue.pop()
-        for t in tables:
-            for z in range(n):
-                union(t[x][z], t[y][z])
-                union(t[z][x], t[z][y])
-        if A.bang is not None:
-            union(A.bang[x], A.bang[y])
-        roots = {find(v) for v in range(n)}
-        blocks = len(roots)
-        if blocks == 1:
-            break
-    return _canonical([find(v) for v in range(n)])
-
-
-def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Partition:
-    return _congruence_closure(A, [(a, b)])
-
-
-def join_partitions(A: FiniteAlgebra, p: Partition, q: Partition) -> Partition:
-    pairs = []
-    for labels in (p, q):
-        first: dict[int, int] = {}
-        for x, lab in enumerate(labels):
-            if lab in first:
-                pairs.append((first[lab], x))
+            theta = known.get((x, y) if x < y else (y, x))
+            if theta is not None:
+                blocks -= _merge(parent, theta)
             else:
-                first[lab] = x
-    return _congruence_closure(A, pairs)
+                parent[ry] = rx
+                blocks -= 1
+                queue.append((x, y))
+
+    def images(x: int, y: int) -> Iterator[tuple[int, int]]:
+        # on a flat order, meet and join rows mostly hit bot and top, while
+        # product and implication rows are translations: they go first
+        for t in (A.mult, A.imp, A.meet, A.join):
+            yield from zip(t[x], t[y])
+            for row in t:
+                yield row[x], row[y]
+        if A.bang is not None:
+            yield A.bang[x], A.bang[y]
+
+    union(a, b)
+    while queue:
+        # every merged pair is propagated once, even if later unions
+        # already joined the classes by another route
+        for u, v in images(*queue.pop()):
+            if u != v:
+                union(u, v)
+                if blocks == 1:
+                    return (0,) * n
+    return _canonical([_find(parent, v) for v in range(n)])
 
 
 def meet_partitions(p: Partition, q: Partition) -> Partition:
@@ -437,21 +438,32 @@ class CongruenceSet:
 
 
 def congruence_set(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:
-    """All congruences, by closing the principal ones under pairwise joins."""
+    """All congruences, by closing the principal ones under pairwise joins.
+
+    Two facts spare most of the propagation (Freese, *Computing congruences
+    efficiently*, Algebra Universalis 59, 2008).  Cg(x, y) <= theta for every
+    congruence theta with (x, y) in theta, and Cg(x, y) is compatible: so a
+    closure that relates a pair whose Cg is known merges all of it and queues
+    none of its pairs.  Con(A) <= Eq(A) is a sublattice: so two congruences
+    join as equivalences, by union-find over their blocks.
+    """
     guard(A.size, "congruence computation", max_size)
     n = A.size
-    delta = _canonical(range(n))
-    found = {delta}
+    known: dict[tuple[int, int], Partition] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            found.add(principal_congruence(A, a, b))
+            known[a, b] = _principal(A, a, b, known)
+    found = {_canonical(range(n)), *known.values()}
     worklist = sorted(found)
     while worklist:
         fresh = []
         current = sorted(found)
         for p in worklist:
             for q in current:
-                j = join_partitions(A, p, q)
+                parent = list(range(n))
+                _merge(parent, p)
+                _merge(parent, q)
+                j = _canonical([_find(parent, v) for v in range(n)])
                 if j not in found:
                     found.add(j)
                     fresh.append(j)

@@ -7,7 +7,9 @@ reported at that witness.  The tests require the kernel to equal them
 exactly: the same violations in the same order, the same ``NotResiduated``
 arguments and the same first group-table error.  ``refines`` and
 ``is_congruence`` check the congruence order and the congruences that
-``congruence_set`` computes.  The hom searches and
+``congruence_set`` computes, and ``congruence_set_reference`` computes them
+without reuse: every principal congruence is closed on its own, and every
+join is closed again under all the operations.  The hom searches and
 preservation loops are the two separate engines for algebras and groups:
 the shared engine must list the same maps in the same order and report the
 same violations.  The group layer at the end computes each fact its own way:
@@ -45,11 +47,12 @@ import numpy as np
 from girale.algebra import (
     AlgHom,
     ClassReport,
+    CongruenceSet,
     FiniteAlgebra,
     NotResiduated,
     Table,
     Violation,
-    _binary_tables,
+    _canonical,
 )
 from girale.capacity import CapacityError, guard
 from girale.formula import CONSTS, ONE, OPS, ZERO, Bang, BinOp, Const, Formula, Var, free_variables
@@ -219,6 +222,10 @@ def check_signature_laws(A: FiniteAlgebra) -> ClassReport:
     return ClassReport(not violations, tuple(violations))
 
 
+def _binary_tables(A: FiniteAlgebra) -> tuple[Table, ...]:
+    return (A.meet, A.join, A.mult, A.imp)
+
+
 def refines(p: Sequence[int], q: Sequence[int]) -> bool:
     """True iff every p-block is inside a q-block (p <= q in the congruence order)."""
     seen: dict[int, int] = {}
@@ -250,6 +257,77 @@ def is_congruence(A: FiniteAlgebra, labels: Sequence[int]) -> bool:
         if A.bang is not None and labels[A.bang[x]] != labels[A.bang[r]]:
             return False
     return True
+
+
+def _congruence_closure(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    n = A.size
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    queue: list[tuple[int, int]] = []
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+            queue.append((x, y))
+
+    for x, y in pairs:
+        union(x, y)
+    tables = _binary_tables(A)
+    while queue:
+        # every merged pair must be propagated once, even if later unions
+        # already joined the classes by another route
+        x, y = queue.pop()
+        for t in tables:
+            for z in range(n):
+                union(t[x][z], t[y][z])
+                union(t[z][x], t[z][y])
+        if A.bang is not None:
+            union(A.bang[x], A.bang[y])
+        if len({find(v) for v in range(n)}) == 1:
+            break
+    return _canonical([find(v) for v in range(n)])
+
+
+def _join_partitions(A: FiniteAlgebra, p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    pairs = []
+    for labels in (p, q):
+        first: dict[int, int] = {}
+        for x, lab in enumerate(labels):
+            if lab in first:
+                pairs.append((first[lab], x))
+            else:
+                first[lab] = x
+    return _congruence_closure(A, pairs)
+
+
+def congruence_set_reference(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:
+    """Reference for ``girale.algebra.congruence_set``: principal congruences
+    each closed on its own, then closed under joins that propagate again."""
+    guard(A.size, "congruence computation", max_size)
+    n = A.size
+    found = {_canonical(range(n))}
+    for a in range(n):
+        for b in range(a + 1, n):
+            found.add(_congruence_closure(A, [(a, b)]))
+    worklist = sorted(found)
+    while worklist:
+        fresh = []
+        current = sorted(found)
+        for p in worklist:
+            for q in current:
+                j = _join_partitions(A, p, q)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        worklist = fresh
+    return CongruenceSet(tuple(sorted(found)))
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> None:

@@ -103,6 +103,16 @@ def test_congruences_command(tmp_path, capsys):
     assert doc["result"] == {"count": 2, "fsi": True, "simple": True}
 
 
+def test_congruences_output_pinned(capsys, monkeypatch):
+    """Byte-identical --json on R(Z2) x R(Z3): 20 elements, 4 congruences,
+    neither simple nor FSI."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data)
+    code, out = invoke(capsys, ["congruences", "--algebra", "r_z2_x_r_z3_full.json", "--json"])
+    assert code == 0
+    assert out == (data / "congruences-z2-x-z3.json").read_text()
+
+
 def test_homs_command(tmp_path, capsys):
     algebra = tmp_path / "g.json"
     invoke(capsys, ["build", "--group", "2", "--sig", "none", "--out", str(algebra)])
