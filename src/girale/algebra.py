@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ class FiniteAlgebra:
             table = getattr(self, label)
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"{label} table is not {n}x{n}.")
-            if any(not 0 <= v < n for row in table for v in row):
+            if n and not (0 <= min(map(min, table)) and max(map(max, table)) < n):
                 raise ValueError(f"{label} table entry out of range.")
         for label in ("one", "zero", "bot", "top"):
             v = getattr(self, label)
@@ -249,17 +250,32 @@ LAWS: tuple[Law, ...] = (
 )
 
 
-def _scan(A: FiniteAlgebra, chosen: Callable[[Law], bool]) -> ClassReport:
-    """Evaluate the chosen laws of the table over every witness tuple."""
-    T = _Tables(A)
+def _violations(A: FiniteAlgebra, ranks: Sequence[int]) -> list[tuple[int, tuple, int]]:
+    """(block, witness, rank) of each violation of the laws ``LAWS[rank]``."""
+    T = _Tables(A) if ranks else None
     found = []
-    for rank, law in enumerate(LAWS):
-        for rows in _row_blocks(A.size) if chosen(law) else ():
-            mask = law.mask(T, rows)
+    for rank in ranks:
+        for rows in _row_blocks(A.size):
+            mask = LAWS[rank].mask(T, rows)
             if mask.any():
                 hits = np.argwhere(mask)
                 hits[:, 0] += rows.start
-                found.extend((law.block, tuple(w), rank) for w in hits.tolist())
+                found.extend((LAWS[rank].block, tuple(w), rank) for w in hits.tolist())
+    return found
+
+
+@lru_cache(maxsize=1024)
+def _core_violations(size: int, meet: Table, join: Table, mult: Table, imp: Table, one: int):
+    """The violations of the laws that read no optional symbol: one scan serves
+    every algebra on the same tables, such as an expansion in each signature."""
+    core = [rank for rank, law in enumerate(LAWS) if not law.needs]
+    return tuple(_violations(FiniteAlgebra(size, meet, join, mult, imp, one), core))
+
+
+def _scan(A: FiniteAlgebra, chosen: Callable[[Law], bool]) -> ClassReport:
+    """The core laws and the chosen others, reported by block, then witness, then rank."""
+    found = list(_core_violations(A.size, A.meet, A.join, A.mult, A.imp, A.one))
+    found += _violations(A, [r for r, law in enumerate(LAWS) if law.needs and chosen(law)])
     violations = tuple(Violation(LAWS[rank].name, w) for _, w, rank in sorted(found))
     return ClassReport(not violations, violations)
 
@@ -637,12 +653,18 @@ class _Hom:
         return len(set(self.mapping)) == len(self.mapping)
 
     def require_embedding(self, who: str) -> None:
-        """Raise ValueError naming ``who`` unless the map is an injective homomorphism."""
+        """Raise ValueError naming ``who`` unless the map is an injective homomorphism.
+
+        The map is frozen, so a passed check is kept on it and not run again.
+        """
+        if getattr(self, "_embedding", False):
+            return
         if not self.is_injective():
             raise ValueError(f"{who} is not injective.")
         bad = self.violations()
         if bad:
             raise ValueError(f"{who} is not a homomorphism ({bad[0].describe()}).")
+        object.__setattr__(self, "_embedding", True)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ an independent oracle.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,7 +52,8 @@ def build_R(
     Constants beyond the unit are attached only when named in ``signature``;
     the pointed constant equals the unit and the guard is a /\\ 1.
     Results are cached: the construction is pure and batch sweeps rebuild
-    the same expansions constantly.
+    the same expansions constantly.  The tables and names, residuals
+    included, are built once per group and shared by every signature.
     """
     sig = signature_of(signature)
     guard(group.size, "group expansion")
@@ -60,6 +62,21 @@ def build_R(
 
 @lru_cache(maxsize=4096)
 def _build_R_cached(group: FiniteGroup, sig: frozenset[str]) -> FiniteAlgebra:
+    A = _expansion(group)
+    one, bot, top = A.one, group.size, group.size + 1
+    return dataclasses.replace(
+        A,
+        zero=one if "0" in sig else None,
+        bot=bot if "bot" in sig else None,
+        top=top if "top" in sig else None,
+        bang=tuple(A.meet[a][one] for a in range(A.size)) if "bang" in sig else None,
+    )
+
+
+@lru_cache(maxsize=1024)
+def _expansion(group: FiniteGroup) -> FiniteAlgebra:
+    """The expansion without optional symbols: its tables and names, which no
+    signature changes."""
     n = group.size
     bot = n
     top = n + 1
@@ -75,21 +92,17 @@ def _build_R_cached(group: FiniteGroup, sig: frozenset[str]) -> FiniteAlgebra:
     join += (every, (top,) * size)
     mult += ((bot,) * size, (top,) * n + (bot, top))
     imp = residuals_from_mult(meet, join, mult)
-    one = group.identity
     names = tuple(group.element_names) + ("bot", "top")
-    return FiniteAlgebra(
-        size=size,
-        meet=meet,
-        join=join,
-        mult=mult,
-        imp=imp,
-        one=one,
-        zero=one if "0" in sig else None,
-        bot=bot if "bot" in sig else None,
-        top=top if "top" in sig else None,
-        bang=tuple(meet[a][one] for a in range(size)) if "bang" in sig else None,
-        names=names,
-    )
+    return FiniteAlgebra(size, meet, join, mult, imp, group.identity, names=names)
+
+
+def _clear_build_R() -> None:
+    _build_R_cached.cache_clear()
+    _expansion.cache_clear()
+
+
+build_R.cache_info = _build_R_cached.cache_info  # type: ignore[attr-defined]
+build_R.cache_clear = _clear_build_R  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -217,7 +230,9 @@ def member_K(A: FiniteAlgebra, query: KClassQuery) -> MembershipResult:
     reconstructed group and a verified isomorphism, so it can be
     independently re-checked.  Pure, so results are cached, keyed on the
     element names too: algebra equality ignores them, but the group and
-    ``canon.source`` carry them.
+    ``canon.source`` carry them.  The shape check and the isomorphism do not
+    read the query, so they are cached once per algebra and names, and each
+    new query adds only the torsion check.
     """
     return _member_K(A, A.names, query)
 
@@ -229,33 +244,43 @@ def _member_K(A: FiniteAlgebra, names: tuple | None, query: KClassQuery) -> Memb
             f"Algebra signature {sorted(A.signature)} does not match the query "
             f"signature {sorted(query.signature)}."
         )
+    shape = _shape(A, names)
+    if shape.parts is None:  # trivial, or not shaped like an expansion
+        return shape
+    sigma = check_sigma(shape.parts.group, query.primes)
+    if not sigma.passed:
+        assert sigma.witness_element is not None and sigma.witness_prime is not None
+        return MembershipResult(
+            member=False,
+            failed=f"sigma-{sigma.witness_prime}",
+            witness=(shape.parts.to_algebra[sigma.witness_element],),
+        )
+    return shape if shape.member else MembershipResult(member=False, failed=shape.failed)
+
+
+@lru_cache(maxsize=4096)
+def _shape(A: FiniteAlgebra, names: tuple | None) -> MembershipResult:
+    """``member_K``'s verdict but for the torsion check, which alone reads the
+    query.  An algebra that ``split_R`` takes apart keeps its parts, also when
+    it is no member: its structure mismatch is reported after the torsion check."""
     if A.size == 1:  # every one-element algebra satisfies its laws
         return MembershipResult(member=True, trivial=True)
     try:
         parts = split_R(A)
     except NotAnExpansion as failure:
         return MembershipResult(member=False, failed=failure.failed, witness=failure.witness)
-
-    group = parts.group
-    sigma = check_sigma(group, query.primes)
-    if not sigma.passed:
-        assert sigma.witness_element is not None and sigma.witness_prime is not None
-        return MembershipResult(
-            member=False,
-            failed=f"sigma-{sigma.witness_prime}",
-            witness=(parts.to_algebra[sigma.witness_element],),
-        )
-
-    canon_map = [0] * A.size
-    for g, a in enumerate(parts.to_algebra):
-        canon_map[a] = g
-    canon_map[parts.bot] = group.size
-    canon_map[parts.top] = group.size + 1
-    canon = AlgHom(A, build_R(group, query.signature), tuple(canon_map))
+    # the group indices in order, then bot and top: the layout of build_R
+    layout = {a: i for i, a in enumerate(parts.to_algebra + (parts.bot, parts.top))}
+    canon = AlgHom(A, build_R(parts.group, A.signature), tuple(map(layout.get, range(A.size))))
     if canon.violations():
-        return MembershipResult(member=False, failed="structure-mismatch", witness=())
+        return MembershipResult(member=False, parts=parts, failed="structure-mismatch")
     return MembershipResult(member=True, parts=parts, canon=canon)
 
 
+def _clear_member_K() -> None:
+    _member_K.cache_clear()
+    _shape.cache_clear()
+
+
 member_K.cache_info = _member_K.cache_info  # type: ignore[attr-defined]
-member_K.cache_clear = _member_K.cache_clear  # type: ignore[attr-defined]
+member_K.cache_clear = _clear_member_K  # type: ignore[attr-defined]

@@ -8,10 +8,10 @@ homomorphisms, which serve as the finite amalgamation oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,8 +72,10 @@ class PrimeSet:
 class FiniteGroup:
     """Abelian group given by its Cayley table; the constructor checks no law.
 
-    Element orders and invariant factors are derived on first use; equality
-    and hashing see only the fields.
+    Element orders, invariant factors and the hash are computed on first use
+    and kept by ``object.__setattr__``: a ``cached_property`` would write the
+    instance ``__dict__`` and slow every later attribute read.  Equality and
+    pickles see only the fields.
     """
 
     size: int
@@ -82,21 +84,41 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     element_names: tuple[str, ...]
 
-    @cached_property
+    def __hash__(self) -> int:
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            fields = (self.size, self.table, self.identity, self.inverse, self.element_names)
+            object.__setattr__(self, "_hash", hash(fields))
+            return self._hash  # type: ignore[attr-defined]
+
+    def __getstate__(self) -> dict:
+        """The fields alone: string hashes differ between processes."""
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+
+    @property
     def orders(self) -> tuple[int, ...]:
         """The order of each element, by walking its powers."""
-        orders = []
-        for a, row in enumerate(self.table):
-            k, x = 1, a
-            while x != self.identity:
-                k, x = k + 1, row[x]
-            orders.append(k)
-        return tuple(orders)
+        try:
+            return self._orders  # type: ignore[attr-defined]
+        except AttributeError:
+            orders = []
+            for a, row in enumerate(self.table):
+                k, x = 1, a
+                while x != self.identity:
+                    k, x = k + 1, row[x]
+                orders.append(k)
+            object.__setattr__(self, "_orders", tuple(orders))
+            return self._orders  # type: ignore[attr-defined]
 
-    @cached_property
+    @property
     def invariant_factors(self) -> tuple[int, ...]:
         """The canonical invariant factors (``invariant_factors_of``)."""
-        return invariant_factors_of(self)
+        try:
+            return self._factors  # type: ignore[attr-defined]
+        except AttributeError:
+            object.__setattr__(self, "_factors", invariant_factors_of(self))
+            return self._factors  # type: ignore[attr-defined]
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

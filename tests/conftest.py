@@ -1,6 +1,6 @@
 import pytest
 
-from girale.algebra import FiniteAlgebra
+from girale.algebra import AlgHom, FiniteAlgebra
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import abelian_group_catalog, make_group
 
@@ -37,3 +37,12 @@ def girales_upto_6():
         build_R(make_group(chain or [1]), SIGNATURE_FULL)
         for chain in abelian_group_catalog(6)
     ]
+
+
+@pytest.fixture
+def violation_calls(monkeypatch):
+    """The maps whose ``AlgHom.violations`` runs during the test, in call order."""
+    calls = []
+    violations = AlgHom.violations
+    monkeypatch.setattr(AlgHom, "violations", lambda self: calls.append(self) or violations(self))
+    return calls

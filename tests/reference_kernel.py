@@ -23,8 +23,10 @@ full), the recursive structural key, and the hash of the formula nodes as
 plain dataclasses, all without caches or subformula codes, and Maehara's
 interpolant with one branch per rule that edits the left multiset by hand.
 The last section keeps ``build_R`` with one function per operation called on
-every cell, and ``member_K`` with its own bound search and copy of the sentences
-over a ``split_R`` that scans for the bounds and checks the interior closed.
+every cell, ``build_R_reference``, which writes the rows from the layout and
+computes the residuals again for every signature, and ``member_K`` with its
+own bound search and copy of the sentences over a ``split_R`` that scans for
+the bounds and checks the interior closed.
 The semantics section keeps the ``consequence`` loop that evaluates every
 formula per algebra over its own int64 grid, with no memo, and
 ``deduction_check`` as three such calls.  ``interpolant_search`` is the
@@ -1057,6 +1059,38 @@ def build_R(group: FiniteGroup, sig: frozenset[str]) -> FiniteAlgebra:
     meet = tuple(tuple(meet_of(a, b) for b in range(size)) for a in range(size))
     join = tuple(tuple(join_of(a, b) for b in range(size)) for a in range(size))
     mult = tuple(tuple(mult_of(a, b) for b in range(size)) for a in range(size))
+    imp = residuals_from_mult(meet, join, mult)
+    one = group.identity
+    names = tuple(group.element_names) + ("bot", "top")
+    return FiniteAlgebra(
+        size=size,
+        meet=meet,
+        join=join,
+        mult=mult,
+        imp=imp,
+        one=one,
+        zero=one if "0" in sig else None,
+        bot=bot if "bot" in sig else None,
+        top=top if "top" in sig else None,
+        bang=tuple(meet[a][one] for a in range(size)) if "bang" in sig else None,
+        names=names,
+    )
+
+
+def build_R_reference(group: FiniteGroup, sig: frozenset[str]) -> FiniteAlgebra:
+    """The expansion written row by row from the layout and residuated afresh
+    for each signature, with no table shared between signatures."""
+    n = group.size
+    bot = n
+    top = n + 1
+    size = n + 2
+    every = tuple(range(size))
+    meet = tuple(tuple(a if b in (a, top) else bot for b in every) for a in range(n))
+    join = tuple(tuple(a if b in (a, bot) else top for b in every) for a in range(n))
+    mult = tuple(row + (bot, top) for row in group.table)
+    meet += ((bot,) * size, every)
+    join += (every, (top,) * size)
+    mult += ((bot,) * size, (top,) * n + (bot, top))
     imp = residuals_from_mult(meet, join, mult)
     one = group.identity
     names = tuple(group.element_names) + ("bot", "top")

@@ -21,7 +21,6 @@ from girale.amalgam import amalgamate, span_catalog, verify_amalgam
 from girale.construct import (
     KClassQuery,
     SIGNATURE_FULL,
-    _build_R_cached,
     build_R,
     lift_embedding,
     member_K,
@@ -74,7 +73,7 @@ def _report(number, text):
 
 def test_criterion_01_construction_fidelity(groups12):
     """Every expansion over every signature subset satisfies its class laws."""
-    _build_R_cached.cache_clear()
+    build_R.cache_clear()
     started = time.monotonic()
     checked = 0
     for group in groups12:

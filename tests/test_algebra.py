@@ -4,6 +4,8 @@ import itertools
 import pytest
 
 from girale.algebra import (
+    AlgHom,
+    FiniteAlgebra,
     NotResiduated,
     algebra_from_json,
     algebra_to_json,
@@ -262,3 +264,34 @@ def test_algebra_json_round_trip():
     again = algebra_from_json(algebra_to_json(algebra))
     assert again == algebra
     assert again.names == algebra.names
+
+
+def test_constructor_checks_every_table_with_the_same_messages():
+    algebra = build_R(Z3, SIGNATURE_FULL)
+    for label in ("meet", "join", "mult", "imp"):
+        table = [list(row) for row in getattr(algebra, label)]
+        for bad in (-1, algebra.size):
+            table[2][3] = bad
+            broken = tuple(tuple(row) for row in table)
+            with pytest.raises(ValueError, match=f"^{label} table entry out of range.$"):
+                dataclasses.replace(algebra, **{label: broken})
+        with pytest.raises(ValueError, match=f"^{label} table is not 5x5.$"):
+            dataclasses.replace(algebra, **{label: getattr(algebra, label)[:4]})
+    with pytest.raises(ValueError, match="^Constant one=0 out of range.$"):
+        FiniteAlgebra(0, (), (), (), (), 0)
+
+
+def test_require_embedding_runs_once_per_map_and_never_remembers_a_failure(violation_calls):
+    algebra = R(Z3)
+    embedding = AlgHom(algebra, algebra, tuple(range(algebra.size)))
+    for _ in range(3):
+        embedding.require_embedding("The identity")
+    assert len(violation_calls) == 1
+    mapping = list(range(algebra.size))
+    mapping[0], mapping[1] = mapping[1], mapping[0]
+    for who, bad in (("A swap", AlgHom(algebra, algebra, tuple(mapping))),
+                     ("A collapse", AlgHom(algebra, trivial_algebra(), (0,) * algebra.size))):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"^{who} is not"):
+                bad.require_embedding(who)
+    assert len(violation_calls) == 1 + 3  # the collapse fails injectivity before any hom check

@@ -130,6 +130,21 @@ def test_span_rejects_bad_forms_when_built():
         Span(b, b, t, identity(b), collapse)
 
 
+def test_verify_amalgam_checks_all_four_maps_of_a_checked_span(violation_calls):
+    """Building a span checks each leg once; verify_amalgam, the oracle, checks
+    every map again, and a second span on the same legs checks none."""
+    query = KClassQuery(PrimeSet.of(2), frozenset())
+    b = build_R(Z3)
+    legs = [identity(b), identity(b)]
+    span = Span(b, b, b, *legs)
+    amalgam = amalgamate(span, query)
+    violation_calls.clear()
+    Span(b, b, b, *legs)
+    assert violation_calls == []
+    assert verify_amalgam(span, amalgam).passed
+    assert violation_calls == [span.phi1, span.phi2, amalgam.psi1, amalgam.psi2]
+
+
 def test_catalog_spans_build():
     assert sum(1 for _ in span_catalog(PrimeSet.of(2), frozenset(), 4)) == 17
 

@@ -8,10 +8,13 @@ pass their laws, and on algebras that fail them.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
+from girale import construct
 from girale.algebra import (
+    OPTIONAL_SYMBOLS,
     AlgHom,
     check_signature_laws,
     direct_product,
@@ -124,6 +127,26 @@ def test_build_R_rows_match_cell_functions():
     assert checked == 4 * len(abelian_group_catalog(16))
 
 
+def test_build_R_matches_the_per_signature_reference():
+    """The tables and names are built once per group and shared by every
+    signature; each expansion equals one built afresh for its signature."""
+    signatures = [
+        frozenset(combo) for k in range(5) for combo in itertools.combinations(OPTIONAL_SYMBOLS, k)
+    ]
+    groups = [make_group(chain or [1]) for chain in abelian_group_catalog(12)]
+    assert (len(groups), len(signatures)) == (17, 16)
+    build_R.cache_clear()
+    for group in groups:
+        for sig in signatures:
+            new, old = build_R(group, sig), ref.build_R_reference(group, sig)
+            for field in dataclasses.fields(new):
+                assert getattr(new, field.name) == getattr(old, field.name), field.name
+    assert build_R.cache_info().currsize == 17 * 16
+    assert construct._expansion.cache_info().currsize == 17
+    build_R.cache_clear()
+    assert build_R.cache_info().currsize == construct._expansion.cache_info().currsize == 0
+
+
 def test_non_members_pass_their_laws():
     for A in _non_members():
         assert check_signature_laws(A).passed
@@ -139,6 +162,18 @@ def test_member_K_matches_reference_on_family():
     # the family reaches every verdict that algebras passing their laws can get
     assert {"unit-is-a-bound", "sentence-1", "structure-mismatch", None} <= failures
     assert {"sigma-2", "sigma-3", "sigma-5"} <= failures
+
+
+def test_member_K_matches_reference_under_each_prime_set_in_turn():
+    """Every query after the first finds the shape of the algebra cached: the
+    verdict, failure, witness, group names and canon still match."""
+    member_K.cache_clear()
+    assert member_K.cache_info().currsize == construct._shape.cache_info().currsize == 0
+    for primes in PRIME_SETS:
+        for A in FAMILY:
+            assert _new_verdict(A, primes) == ref.member_K(A, primes)
+    # one shape check per algebra and names, whatever the number of queries
+    assert construct._shape.cache_info().misses == len({(A, A.names) for A in FAMILY})
 
 
 def test_split_R_is_the_shape_check():

@@ -1,4 +1,9 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +224,44 @@ def test_group_json_round_trip():
     assert again.table == k.table
     assert again.element_names == k.element_names
     assert group_from_json({"invariant_factors": [3]}).size == 3
+
+
+_DUMP = """
+import pickle, sys
+from girale.group import make_group
+group = make_group([2, 4])
+hash(group), group.orders, group.invariant_factors
+sys.stdout.buffer.write(pickle.dumps(group))
+"""
+
+_LOAD = """
+import pickle, sys
+from girale.group import make_group
+group = pickle.loads(sys.stdin.buffer.read())
+print(hash(group) == hash(make_group([2, 4])), group == make_group([2, 4]), group.describe())
+"""
+
+
+def test_pickled_group_drops_its_cached_hash():
+    """A hash cached under one PYTHONHASHSEED must not survive into another:
+    the element names are strings."""
+    src = str(Path(__import__("girale").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}
+    data = subprocess.run(
+        [sys.executable, "-c", _DUMP], env=env, capture_output=True, check=True
+    ).stdout
+    group = pickle.loads(data)
+    assert hash(group) == hash(make_group([2, 4]))
+    env["PYTHONHASHSEED"] = "2"
+    out = subprocess.run(
+        [sys.executable, "-c", _LOAD], env=env, input=data, capture_output=True, check=True
+    ).stdout
+    assert out.split() == [b"True", b"True", b"Z2xZ4"]
+
+
+def test_group_facts_are_computed_once():
+    group = make_group([2, 6])
+    assert group.orders is group.orders
+    assert group.invariant_factors is group.invariant_factors == (2, 6)
+    assert hash(group) == hash(make_group([2, 6]))
+    assert group == pickle.loads(pickle.dumps(group))
