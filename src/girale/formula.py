@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping, NamedTuple
 
 
 class _Node:
@@ -119,8 +119,7 @@ class ParseError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -166,10 +165,8 @@ _LEXERS = {
 }
 
 
-def _tokenize(text: str, notation: str) -> Iterator[_Token]:
-    lexer = _LEXERS[notation]
-    pos = 0
-    n = len(text)
+def _tokenize(text: str, notation: str) -> list[_Token]:
+    lexer, tokens, pos, n = _LEXERS[notation], [], 0, len(text)
     while pos < n:
         if text[pos].isspace():
             pos += 1
@@ -179,11 +176,10 @@ def _tokenize(text: str, notation: str) -> Iterator[_Token]:
             raise ParseError(
                 f"Unknown symbol {text[pos]!r} for the {notation} notation", pos
             )
-        kind = m.lastgroup
-        assert kind is not None
-        yield _Token(kind, m.group(), pos)
+        tokens.append(_Token(m.lastgroup, m.group(), pos))  # type: ignore[arg-type]
         pos = m.end()
-    yield _Token("EOF", "", n)
+    tokens.append(_Token("EOF", "", n))
+    return tokens
 
 
 def _check_notation(notation: str) -> None:
@@ -194,7 +190,7 @@ def _check_notation(notation: str) -> None:
 class _Parser:
     def __init__(self, text: str, notation: str) -> None:
         self.notation = notation
-        self.tokens = list(_tokenize(text, notation))
+        self.tokens = _tokenize(text, notation)
         self.index = 0
         self.parens = 0
 
@@ -213,10 +209,7 @@ class _Parser:
         return self.advance()
 
     def parse_form(self) -> Formula:
-        node = self.parse_or()
-        if self.peek().kind != "IMP":
-            return node
-        operands = [node]
+        operands = [self.parse_or()]
         while self.peek().kind == "IMP":
             self.advance()
             operands.append(self.parse_or())
@@ -274,14 +267,9 @@ class _Parser:
             self.expect("RP")
             self.parens -= 1
             return node
-        if tok.kind == "NUM":
-            if self.notation == "substructural":
-                if tok.text == "1":
-                    return ONE
-                if tok.text == "0":
-                    return ZERO
-            elif tok.text == "1":
-                return ONE
+        if tok.kind == "NUM":  # girard's 0 is spelled _|_
+            if tok.text == "1" or tok.text == "0" and self.notation == "substructural":
+                return ONE if tok.text == "1" else ZERO
             raise ParseError(
                 f"Unknown symbol {tok.text!r} for the {self.notation} notation", tok.pos
             )
@@ -289,17 +277,11 @@ class _Parser:
             return ZERO
         if tok.kind == "BOTG":
             return BOT
-        if tok.kind == "IDENT":
-            if self.notation == "substructural":
-                if tok.text == "bot":
-                    return BOT
-                if tok.text == "top":
-                    return TOP
-            else:
-                if tok.text == "top":
-                    return TOP
-                if tok.text in _RESERVED_NAMES:
-                    raise ParseError(f"Reserved word {tok.text!r}", tok.pos)
+        if tok.kind == "IDENT":  # girard's bot is spelled 0g
+            if tok.text == "top" or tok.text == "bot" and self.notation == "substructural":
+                return TOP if tok.text == "top" else BOT
+            if tok.text in _RESERVED_NAMES:
+                raise ParseError(f"Reserved word {tok.text!r}", tok.pos)
             return Var(tok.text)
         raise ParseError(f"Unexpected token {tok.text!r}", tok.pos)
 

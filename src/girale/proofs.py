@@ -15,9 +15,8 @@ rule keeps 0 within each atom's interval of counts over the choices of
 additive branches, so a goal whose interval misses 0 is unprovable.  And
 ->r, *l, /\\r, \\/l and 1l are invertible, their premises following from
 their goal by cut: once such a premise fails at every budget, so does the
-goal, and no later instance is tried.  The memo reuses proofs found at small
-budgets, which pruned subtrees never find, so the pruned search only decides:
-a proof, or a failure it cut off, comes from the unpruned search.
+goal, and no later instance is tried.  A proof is the pruned search's first;
+only a failure it cut off is searched again unpruned, which may decide it.
 Search and proof checking run over int codes for the subformulas of the
 root sequent, through one rule table for both calculi.  A Maehara-style
 split of a cut-free proof yields midpoint formulas by one side rule: a
@@ -37,11 +36,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import OPTIONAL_SYMBOLS
 from .formula import (
+    BOT,
     Bang,
     BinOp,
     Const,
     Formula,
     ONE,
+    TOP,
     Var,
     ZERO,
     connectives,
@@ -504,6 +505,20 @@ class _Calculus:
                     yield "->l", f, ((ant[j:i], a), (ant[:j] + (b,) + after, succ))
 
 
+_CALCULI: dict = {}  # the last calculus built, by its root formulas and exchange
+
+
+def _calculus(root: Sequent, exchange: bool) -> _Calculus:
+    """The calculus of the root's formulas, kept until another is needed, so
+    that a proof is checked in the calculus its search built."""
+    key = frozenset((*root.antecedent, root.succedent)), exchange
+    calculus = _CALCULI.get(key)
+    if calculus is None:
+        _CALCULI.clear()
+        calculus = _CALCULI[key] = _Calculus(root, exchange)
+    return calculus
+
+
 def search_sequent(
     seq: Sequent, bound: int, with_exchange: bool = True
 ) -> tuple[SequentProof | None, bool]:
@@ -511,26 +526,25 @@ def search_sequent(
     found or None, and whether that answer holds at every bound (after a
     failure: whether no branch it depends on was cut off by the bound).
 
-    A pruned search decides first, and most failures end there.  It skips
-    two kinds of failure, memoised at every budget with no cut-off.  A goal
-    that fails the count test (``count_test``) has no proof: each axiom's
-    interval holds 0, and each rule's holds that of each premise or, for the
-    splits ``*r`` and ``->l``, their sum.  And a goal one of whose
-    invertible rules has a premise that fails at every budget is unprovable:
-    a proof of the goal and a cut give one of the premise, and cut
-    elimination a cut-free one.  Neither pruning skips a provable goal, so
-    the pruned search finds a proof just when one exists within the bound.
-    But the proof the unpruned search finds, and whether its failure is
-    exhaustive, depend on what its memo kept from subtrees the pruned search
-    skips.  So a proof, or a failure cut off, is searched again unpruned:
-    the answer is that search's proof, exhaustive if either search was."""
+    The search skips two kinds of goal, memoised as failed at every budget.
+    A goal that fails the count test (``count_test``) has no proof: each
+    axiom's interval holds 0, and each rule's holds that of each premise or,
+    for the splits ``*r`` and ``->l``, their sum.  Nor has a goal one of whose
+    invertible rules has a premise that fails at every budget: a proof of the
+    goal and a cut give one of the premise, and cut elimination a cut-free
+    one.  Neither skips a provable goal, so a proof is found just when one
+    exists within the bound.  A failure cut off is searched again unpruned,
+    which meets goals at other budgets and may cover the whole cut-free
+    space: the answer is exhaustive if either search was."""
     if bound < 1:
         raise ValueError("bound must be at least 1.")
-    _check_fragment(seq)
-    calculus = _Calculus(seq, with_exchange)
+    calculus = _calculus(seq, with_exchange)
+    formulas = calculus.formulas  # bangs sort last
+    if BOT in calculus.code or TOP in calculus.code or formulas and type(formulas[-1]) is Bang:
+        _check_fragment(seq)  # names the first formula's symbols outside the fragment
     proof, exhaustive = _search(calculus, seq, bound, calculus.count_test())
-    if proof is None and exhaustive:
-        return None, True
+    if proof is not None or exhaustive:
+        return proof, exhaustive
     return _search(calculus, seq, bound)
 
 
@@ -601,7 +615,7 @@ def prove_sequent(seq: Sequent, bound: int, with_exchange: bool = True) -> Seque
 def validate_proof(proof: SequentProof, with_exchange: bool = True) -> list[str]:
     """Check that every node instantiates one calculus rule, over the codes
     of the root's subformulas; [] means valid."""
-    calculus = _Calculus(proof.sequent, with_exchange)
+    calculus = _calculus(proof.sequent, with_exchange)
     problems = []
     for node in proof.nodes():
         goal = calculus.encode(node.sequent)

@@ -81,20 +81,40 @@ def test_precedence():
     assert parse("~!x") == imp(Bang(X), ZERO)
 
 
+PARSE_ERRORS = [  # notation, text, message, position
+    ("substructural", "x -> $", "Unknown symbol '$' for the substructural notation", 5),
+    ("substructural", "x (+) y", "Unknown symbol '+' for the substructural notation", 3),
+    ("substructural", "x\n\u00e9", "Unknown symbol '\u00e9' for the substructural notation", 2),
+    ("substructural", "", "Empty formula", 0),
+    ("substructural", "x y", "Trailing input 'y'", 2),
+    ("substructural", "x)", "Trailing input ')'", 1),
+    ("substructural", "(x", "Expected RP, found ''", 2),
+    ("substructural", "!(x /\\ y", "Expected RP, found ''", 8),
+    ("substructural", "x -> ", "Unexpected token ''", 5),
+    ("substructural", "(" * 101 + "x" + ")" * 101, "Parentheses nest deeper than 100", 100),
+    ("substructural", "!" * 101 + "x", "Connectives nest deeper than 100", 0),
+    ("substructural", " -> ".join(["x"] * 102), "Connectives nest deeper than 100", 0),
+    ("girard", "x -> y", "Unknown symbol '-' for the girard notation", 2),
+    ("girard", "0", "Unknown symbol '0' for the girard notation", 0),  # bottom is 0g
+    ("girard", "x^_|_ ^", "Unknown symbol '^' for the girard notation", 6),
+    ("girard", "", "Empty formula", 0),
+    ("girard", "x y", "Trailing input 'y'", 2),
+    ("girard", "(x & y", "Expected RP, found ''", 6),
+    ("girard", "x -o", "Unexpected token ''", 4),
+    ("girard", "bot", "Reserved word 'bot'", 0),
+    ("girard", "x -o bot", "Reserved word 'bot'", 5),
+    ("girard", "( " * 101 + "x" + " )" * 101, "Parentheses nest deeper than 100", 200),
+    ("girard", "~" * 101 + "x", "Connectives nest deeper than 100", 0),
+    ("girard", " -o ".join(["x"] * 102), "Connectives nest deeper than 100", 0),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse("x -> $")
-    assert err.value.position == 5
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("x y")
-    with pytest.raises(ParseError):
-        parse("0", "girard")  # girard's lattice bottom is spelled 0g
-    with pytest.raises(ParseError):
-        parse("x (+) y")  # join spelled \/ in substructural notation
-    with pytest.raises(ParseError):
-        parse("bot", "girard")
+    for notation, text, message, position in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse(text, notation)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position
 
 
 def test_substitute_examples():

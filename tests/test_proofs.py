@@ -1,5 +1,6 @@
 import pytest
 
+from girale import proofs
 from girale.formula import free_variables, parse, render
 from girale.proofs import (
     SCHEMES,
@@ -144,12 +145,20 @@ def test_prove_sequent_no_contraction():
 
 
 def test_prove_requires_fragment():
-    with pytest.raises(ValueError):
-        prove_sequent(parse_sequent("!x => x"), 4)
-    with pytest.raises(ValueError):
-        prove_sequent(parse_sequent("x => top"), 4)
+    outside = "Sequent formulas must avoid {}; search covers the bounded-free, guard-free fragment."
+    # the message names the symbols of the first formula outside the fragment
+    for text, symbols in [
+        ("!x => x", "['bang']"),
+        ("x => top", "['top']"),
+        ("x, bot * !top => x", "['bang', 'bot', 'top']"),
+        ("1 -> !x, top => bot", "['bang']"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            prove_sequent(parse_sequent(text), 4)
+        assert str(err.value) == outside.format(symbols)
     with pytest.raises(ValueError):
         prove_sequent(parse_sequent("x => x"), 0)
+    assert prove_sequent(parse_sequent("=>"), 4) is None
 
 
 def test_exchange_flag_matters():
@@ -175,9 +184,36 @@ def test_zero_rules():
 def test_validate_proof_rejects_corruption():
     proof = prove_sequent(parse_sequent("x, y => x * y"), 4)
     corrupted = SequentProof(proof.sequent, "id", (), None)
-    assert validate_proof(corrupted)
+    assert validate_proof(corrupted) == ["bad id instance at x, y => x * y"]
     relabeled = SequentProof(proof.sequent, "/\\r", proof.children, proof.principal)
-    assert validate_proof(relabeled)
+    assert validate_proof(relabeled) == ["bad /\\r instance at x, y => x * y"]
+
+
+def _count_calculi(monkeypatch) -> list:
+    built = []
+
+    class Counted(proofs._Calculus):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(proofs, "_Calculus", Counted)
+    monkeypatch.setattr(proofs, "_CALCULI", {})
+    return built
+
+
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_validating_a_fresh_proof_builds_no_second_calculus(monkeypatch, with_exchange):
+    built = _count_calculi(monkeypatch)
+    seq = parse_sequent("y, x, x -> y -> z => z")
+    proof, _ = proofs.search_sequent(seq, 10, with_exchange)
+    assert proof is not None and len(built) == 1
+    assert not validate_proof(proof, with_exchange) and len(built) == 1
+    # the other calculus, or another root, needs a calculus of its own
+    validate_proof(proof, not with_exchange)
+    assert len(built) == 2
+    assert not validate_proof(prove_sequent(parse_sequent("x, y => x * y"), 4))
+    assert len(built) == 3
 
 
 def _leaf(text):

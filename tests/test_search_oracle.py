@@ -3,16 +3,22 @@ exhaustive failure decides.
 
 The reference (tests/reference_kernel.py) re-searches every failure at each
 larger budget.  The search under test memoises a failure that the bound never
-cut off as failed at every budget, so it must return the same proof, with the
-same principal formula at every node, or None exactly when the reference
-does.  Sequents are shaped like the benchmark's random ones: one to three
-antecedent formulas of depth at most two over three atoms, 1 and 0.
+cut off as failed at every budget, and prunes goals the reference searches,
+so it must find a proof exactly when the reference does: a valid proof of the
+root sequent within the bound, though not always the reference's proof.
+The pinned sequents below also get the reference's proof, with the same
+principal formula at every node.  Sequents are shaped like the benchmark's
+random ones: one to three antecedent formulas of depth at most two over three
+atoms, 1 and 0.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from girale import proofs
 from girale.formula import BinOp, Const, Var, size
 from girale.proofs import (
     Sequent,
@@ -71,17 +77,27 @@ def _same(proof, expected) -> bool:
     )
 
 
+def _concludes(proof, seq: Sequent, with_exchange: bool) -> bool:
+    root = proof.sequent
+    if with_exchange:
+        return root.succedent == seq.succedent and Counter(root.antecedent) == Counter(seq.antecedent)
+    return root == seq
+
+
 @ORACLE
 @given(fragment_sequents(2, 3), st.integers(1, 12), st.booleans())
 # the reference reuses a /\l2 proof of (1 -> p) /\ p => p found at a small
-# budget in a subtree the count test skips; at budget 3 or more, /\l1 is first
+# budget in a subtree the count test skips, where the search proves it by /\l1:
+# a different proof of the same sequent, valid and within the bound
 @example(
     parse_sequent("p -> r, (1 -> p) /\\ p, (0 /\\ p) /\\ (q /\\ 0) => (0 * p) * (p -> r)"), 6, True
 )
 def test_search_matches_the_reference(seq, bound, with_exchange):
     proof, exhaustive = search_sequent(seq, bound, with_exchange)
-    assert _same(proof, ref.prove_sequent(seq, bound, with_exchange))
+    assert (proof is None) == (ref.prove_sequent(seq, bound, with_exchange) is None)
     if proof is not None:
+        assert not validate_proof(proof, with_exchange)
+        assert _concludes(proof, seq, with_exchange) and proof.depth() <= bound
         assert exhaustive
 
 
@@ -218,3 +234,37 @@ def test_failures_the_pruned_search_cuts_off_stay_exhaustive(text, with_exchange
     calculus = _Calculus(seq, with_exchange)
     assert _search(calculus, seq, 6, calculus.count_test()) == (None, False)
     assert search_sequent(seq, 6, with_exchange) == (None, True)
+
+
+# A provable sequent takes one search, the pruned one; only a failure it cut
+# off is searched again.  Unpruned, this chain's search takes about 100 times
+# as long at bound 12.
+CHAIN = "a, a -> b, b -> c, c -> d, d -> e, e -> f, f -> g, g -> h, h -> i, i -> j => (j * 1) \\/ a"
+
+
+def _count_searches(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _search(*args)
+
+    monkeypatch.setattr(proofs, "_search", counted)
+    return calls
+
+
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_a_proof_takes_one_search(monkeypatch, with_exchange):
+    searches = _count_searches(monkeypatch)
+    proof, exhaustive = search_sequent(parse_sequent(CHAIN), 12, with_exchange)
+    assert len(searches) == 1
+    assert proof is not None and exhaustive and proof.depth() == 12
+    assert not validate_proof(proof, True) and not validate_proof(proof, False)
+
+
+@pytest.mark.parametrize("text", DECIDED_UNPRUNED)
+@pytest.mark.parametrize("with_exchange", [True, False])
+def test_only_cut_off_failures_are_searched_again(monkeypatch, text, with_exchange):
+    searches = _count_searches(monkeypatch)
+    assert search_sequent(parse_sequent(text), 6, with_exchange) == (None, True)
+    assert len(searches) == 2
