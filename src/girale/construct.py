@@ -272,7 +272,8 @@ def _shape(A: FiniteAlgebra, names: tuple | None) -> MembershipResult:
     # the group indices in order, then bot and top: the layout of build_R
     layout = {a: i for i, a in enumerate(parts.to_algebra + (parts.bot, parts.top))}
     canon = AlgHom(A, build_R(parts.group, A.signature), tuple(map(layout.get, range(A.size))))
-    if canon.violations():
+    # a build_R output is its own rebuilt expansion: its canon is the identity, a hom
+    if not (canon.target is A and canon.mapping == tuple(range(A.size))) and canon.violations():
         return MembershipResult(member=False, parts=parts, failed="structure-mismatch")
     return MembershipResult(member=True, parts=parts, canon=canon)
 

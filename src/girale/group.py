@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -306,11 +307,9 @@ def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset
     closed.update(frontier)
     while frontier:
         x = frontier.pop()
-        for y in list(closed):
-            for z in (group.mul(x, y), group.mul(y, x)):
-                if z not in closed:
-                    closed.add(z)
-                    frontier.append(z)
+        new = {group.mul(x, y) for y in closed} - closed
+        closed |= new
+        frontier.extend(new)
     return frozenset(closed)
 
 
@@ -358,15 +357,19 @@ def pushout(f: GroupHom, g: GroupHom) -> Pushout:
     homomorphism and so already a subgroup.  With the pair (b, c) at
     b * |C| + c, the cosets are numbered in the order of their least members.
     The legs are checked; the quotient and the legs into it are a pushout by
-    construction and are not.
+    construction and are not.  Memoised on the legs and the size bound.
     """
+    return _pushout(f, g, max_size())
+
+
+@lru_cache(maxsize=1024)
+def _pushout(f: GroupHom, g: GroupHom, bound: int) -> Pushout:
     if f.source != g.source:
         raise ValueError("Pushout legs must share their source.")
     f.require_embedding("Pushout leg f")
     g.require_embedding("Pushout leg g")
     left, right = f.target, g.target
     n_left, n_right = left.size, right.size
-    bound = max_size()
     if n_left * n_right > bound * bound:
         raise CapacityError(
             f"Pushout intermediate of size {n_left * n_right} exceeds {bound * bound}."
@@ -384,7 +387,7 @@ def pushout(f: GroupHom, g: GroupHom) -> Pushout:
             reps.append((b, c))
 
     size = len(reps)
-    guard(size, "pushout")
+    guard(size, "pushout", bound)
     rows = [(left.table[b], right.table[c]) for b, c in reps]
     table = [[coset[row_b[b] * n_right + row_c[c]] for b, c in reps] for row_b, row_c in rows]
     quotient = _trusted_group(table, [f"c{i}" for i in range(size)])
@@ -396,6 +399,9 @@ def pushout(f: GroupHom, g: GroupHom) -> Pushout:
         right, quotient, tuple(coset[left.identity * n_right + c] for c in range(n_right))
     )
     return Pushout(quotient, into_left, into_right)
+
+
+pushout.cache_clear = _pushout.cache_clear  # type: ignore[attr-defined]
 
 
 def group_homs(

@@ -50,16 +50,18 @@ def _expansions(max_order: int):
     ]
 
 
-def _reversed(A):
-    """A copy of A with its universe in reverse order: top first, the group last."""
+def _relabelled(A, new):
+    """A copy of A whose element a is element ``new[a]``."""
     n = A.size
-    back = [n - 1 - a for a in range(n)]
+    old = [0] * n
+    for a, b in enumerate(new):
+        old[b] = a
 
     def table(t):
-        return tuple(tuple(back[t[back[a]][back[b]]] for b in range(n)) for a in range(n))
+        return tuple(tuple(new[t[old[a]][old[b]]] for b in range(n)) for a in range(n))
 
     def const(c):
-        return None if c is None else back[c]
+        return None if c is None else new[c]
 
     return dataclasses.replace(
         A,
@@ -67,13 +69,18 @@ def _reversed(A):
         join=table(A.join),
         mult=table(A.mult),
         imp=table(A.imp),
-        one=back[A.one],
+        one=new[A.one],
         zero=const(A.zero),
         bot=const(A.bot),
         top=const(A.top),
-        bang=None if A.bang is None else tuple(back[A.bang[back[a]]] for a in range(n)),
-        names=tuple(reversed(A.names)) if A.names is not None else None,
+        bang=None if A.bang is None else tuple(new[A.bang[old[a]]] for a in range(n)),
+        names=tuple(A.names[old[a]] for a in range(n)) if A.names is not None else None,
     )
+
+
+def _reversed(A):
+    """A copy of A with its universe in reverse order: top first, the group last."""
+    return _relabelled(A, [A.size - 1 - a for a in range(A.size)])
 
 
 def _non_members():
@@ -174,6 +181,51 @@ def test_member_K_matches_reference_under_each_prime_set_in_turn():
             assert _new_verdict(A, primes) == ref.member_K(A, primes)
     # one shape check per algebra and names, whatever the number of queries
     assert construct._shape.cache_info().misses == len({(A, A.names) for A in FAMILY})
+
+
+def _catalog_expansions():
+    """The nontrivial members of the order <= 7 class catalogs, each a build_R output."""
+    return [
+        (primes, A)
+        for primes in PRIME_SETS
+        for sig in SIGNATURES
+        for _, A, group in class_catalog(primes, sig, 7)
+        if group is not None
+    ]
+
+
+def test_member_K_skips_only_the_check_of_an_identity_canon(violation_calls):
+    """A build_R output is its own rebuilt expansion, so its canon is the
+    identity and member_K runs no hom check on it; the oracle's check of that
+    canon finds nothing."""
+    member_K.cache_clear()
+    checked = 0
+    for primes, A in _catalog_expansions():
+        result = member_K(A, KClassQuery(primes, A.signature))
+        assert result.member and result.canon.source is result.canon.target is A
+        assert result.canon.mapping == tuple(range(A.size))
+        assert violation_calls == []
+        assert result.canon.violations() == []
+        violation_calls.clear()
+        checked += 1
+    assert checked == 80
+
+
+def test_member_K_checks_the_canon_of_a_relabelled_expansion(violation_calls):
+    """A permuted copy of each catalog expansion gets the full hom check on its
+    canon, and its verdict, parts and canon are the reference's."""
+    checked = 0
+    for primes, A in _catalog_expansions():
+        n = A.size
+        for new in ([n - 1 - a for a in range(n)], [(a + 1) % n for a in range(n)]):
+            B = _relabelled(A, new)
+            member_K.cache_clear()
+            violation_calls.clear()
+            canon = member_K(B, KClassQuery(primes, B.signature)).canon
+            assert canon.mapping != tuple(range(n)) and violation_calls == [canon]
+            assert _new_verdict(B, primes) == ref.member_K(B, primes)
+            checked += 1
+    assert checked == 160
 
 
 def test_split_R_is_the_shape_check():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from girale import group as group_module
 from girale.capacity import CapacityError
 from girale.group import (
     FiniteGroup,
@@ -24,6 +25,8 @@ from girale.group import (
     pushout,
     subgroups,
 )
+
+from tests import reference_kernel as ref
 
 
 def identity(group: FiniteGroup) -> GroupHom:
@@ -185,6 +188,60 @@ def test_pushout_preserves_sigma():
     po = pushout(embeddings(z3, z9)[0], embeddings(z3, z9)[1])
     assert (z3.size * z9.size) % po.group.size == 0
     assert check_sigma(po.group, primes).passed
+
+
+def test_pushout_is_built_once_for_equal_legs():
+    """Legs that are equal but separate objects find the first pushout in the
+    memo, and it is still the reference's."""
+    pushout.cache_clear()
+    z3, z9 = make_group([3]), make_group([9])
+    f, g = embeddings(z3, z9)
+    first = pushout(f, g)
+    z3_again, z9_again = make_group([3]), make_group([9])
+    assert z3_again is not z3 and z9_again is not z9
+    f_again = GroupHom(z3_again, z9_again, tuple(f.mapping))
+    g_again = GroupHom(z3_again, make_group([9]), tuple(g.mapping))
+    again = pushout(f_again, g_again)
+    info = group_module._pushout.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert again == first
+    table, names, into_left, into_right = ref.pushout(f_again, g_again)
+    assert [list(row) for row in again.group.table] == table
+    assert list(again.group.element_names) == names
+    assert (again.into_left.mapping, again.into_right.mapping) == (into_left, into_right)
+
+
+def test_pushout_memo_reads_the_size_bound_on_every_call(monkeypatch):
+    """A lowered GIRALE_MAX_SIZE is a new key: the cached pushout of Z3 and Z5
+    over the trivial group (size 15) does not get past either capacity check."""
+    pushout.cache_clear()
+    monkeypatch.delenv("GIRALE_MAX_SIZE", raising=False)
+    trivial, z3, z5 = make_group([1]), make_group([3]), make_group([5])
+    f, g = embeddings(trivial, z3)[0], embeddings(trivial, z5)[0]
+    assert pushout(f, g).group.size == 15
+    monkeypatch.setenv("GIRALE_MAX_SIZE", "14")  # the quotient is too big
+    with pytest.raises(CapacityError, match="pushout has size 15"):
+        pushout(f, g)
+    monkeypatch.setenv("GIRALE_MAX_SIZE", "3")  # so is the intermediate B x C
+    with pytest.raises(CapacityError, match="intermediate of size 15"):
+        pushout(f, g)
+    monkeypatch.delenv("GIRALE_MAX_SIZE")
+    assert pushout(f, g).group.size == 15
+    assert group_module._pushout.cache_info().hits == 1
+
+
+def test_pushout_rejects_a_bad_leg_on_every_call():
+    """Failures are not memoised: each call checks the legs again."""
+    pushout.cache_clear()
+    z2, z4 = make_group([2]), make_group([4])
+    collapse = GroupHom(z4, z2, (0, 1, 0, 1))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="Pushout leg f is not injective"):
+            pushout(collapse, identity(z4))
+        with pytest.raises(ValueError, match="Pushout leg g is not injective"):
+            pushout(identity(z4), collapse)
+    info = group_module._pushout.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (6, 0, 0)
 
 
 def test_subgroups_of_z9():
