@@ -1,12 +1,13 @@
 """Command-line interface: one verb per workbench operation, JSON-first output.
 
 Exit codes: 0 success or a true judgment, 1 a false judgment (countermodel
-attached, or ``prove`` status unprovable: cut-free search failed without a
-cut-off), 2 usage or input errors, 3 capacity errors, 4 an internal error (a
-bug: any other exception, reported with its message); a bounded search
-without an answer (exhausted, unknown) exits 0 with a note.  With --json
-every payload is a single JSON object embedding the tool version and SHA-256
-hashes of all inputs, so repeated runs are byte-identical.
+attached, or ``prove`` status unprovable: no cut-free proof at any depth), 2
+usage or input errors, 3 capacity errors, 4 an internal error (a bug: any
+other exception, reported with its message); a bounded search without an
+answer (exhausted, or ``prove`` status unknown: a cut-free proof exists, only
+deeper than --bound) exits 0 with a note.  With --json every payload is a
+single JSON object embedding the tool version and SHA-256 hashes of all
+inputs, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .algebra import (
 from .amalgam import Span, amalgamate, class_catalog, span_catalog, verify_amalgam
 from .capacity import CapacityError
 from .construct import KClassQuery, build_R, member_K, parse_signature
-from .formula import ParseError, formula_to_dict, parse, render
+from .formula import NOTATIONS, ParseError, formula_to_dict, parse, render
 from .group import PrimeSet, group_from_json, make_group
 from .proofs import (
     SYSTEMS,
@@ -45,7 +46,7 @@ from .proofs import (
     steps_from_json,
     validate_proof,
 )
-from .semantics import consequence, eval_formula, interpolant_search, valid
+from .semantics import MODES, consequence, eval_formula, interpolant_search, valid
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -352,7 +353,7 @@ def _cmd_prove(args, inputs: _Inputs):
             raise
     if exhaustive:
         payload["status"] = "unprovable"
-        payload["note"] = "certificate: exhaustive cut-free search, never cut off at the bound"
+        payload["note"] = "certificate: exhaustive cut-free search, no proof at any depth"
         return EXIT_FALSE, payload
     payload["note"] = "search cut off at the bound; not a proof or a refutation"
     return EXIT_TRUE, payload
@@ -463,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("parse", help="parse a formula and print its tree")
     p.add_argument("formula")
-    p.add_argument("--notation", choices=("substructural", "girard"), default="substructural")
+    p.add_argument("--notation", choices=NOTATIONS, default="substructural")
     p.set_defaults(handler=_cmd_parse)
 
     p = add_parser("build", help="expand a group into an algebra")
@@ -503,24 +504,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--assign", default="", help="e.g. x=a,y=bot")
-    p.add_argument("--notation", choices=("substructural", "girard"), default="substructural")
+    p.add_argument("--notation", choices=NOTATIONS, default="substructural")
     p.set_defaults(handler=_cmd_eval)
 
     p = add_parser("consequence", help="designated-value consequence over algebras")
     p.add_argument("--algebras", required=True, help="comma list of algebra files")
     p.add_argument("--premises", default="", help="comma list of formulas")
     p.add_argument("--conclusion", required=True)
-    p.add_argument("--notation", choices=("substructural", "girard"), default="substructural")
+    p.add_argument("--notation", choices=NOTATIONS, default="substructural")
     p.set_defaults(handler=_cmd_consequence)
 
     p = add_parser("interpolate", help="bounded interpolant search")
     p.add_argument("--algebras", required=True)
     p.add_argument("--premise", required=True)
     p.add_argument("--conclusion", required=True)
-    p.add_argument("--mode", choices=("deductive", "craig", "guarded"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--depth", type=_non_negative, default=4)
     p.add_argument("--mixed-guard", action="store_true")
-    p.add_argument("--notation", choices=("substructural", "girard"), default="substructural")
+    p.add_argument("--notation", choices=NOTATIONS, default="substructural")
     p.set_defaults(handler=_cmd_interpolate)
 
     p = add_parser("prove", help="backward cut-free sequent search")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 
 class _Node:
@@ -119,12 +119,6 @@ class ParseError(Exception):
         self.position = position
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
 _SUBSTRUCTURAL_TOKENS = [
     ("IMP", r"->"),
     ("OR", r"\\/"),
@@ -165,7 +159,8 @@ _LEXERS = {
 }
 
 
-def _tokenize(text: str, notation: str) -> list[_Token]:
+def _tokenize(text: str, notation: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) of each token, then an EOF token."""
     lexer, tokens, pos, n = _LEXERS[notation], [], 0, len(text)
     while pos < n:
         if text[pos].isspace():
@@ -176,9 +171,9 @@ def _tokenize(text: str, notation: str) -> list[_Token]:
             raise ParseError(
                 f"Unknown symbol {text[pos]!r} for the {notation} notation", pos
             )
-        tokens.append(_Token(m.lastgroup, m.group(), pos))  # type: ignore[arg-type]
+        tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("EOF", "", n))
+    tokens.append(("EOF", "", n))
     return tokens
 
 
@@ -194,23 +189,22 @@ class _Parser:
         self.index = 0
         self.parens = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def peek(self) -> str:  # the next token's kind
+        return self.tokens[self.index][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"Expected {kind}, found {tok.text!r}", tok.pos)
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        found, text, pos = self.advance()
+        if found != kind:
+            raise ParseError(f"Expected {kind}, found {text!r}", pos)
 
     def parse_form(self) -> Formula:
         operands = [self.parse_or()]
-        while self.peek().kind == "IMP":
+        while self.peek() == "IMP":
             self.advance()
             operands.append(self.parse_or())
         node = operands.pop()
@@ -220,31 +214,31 @@ class _Parser:
 
     def parse_or(self) -> Formula:
         node = self.parse_and()
-        while self.peek().kind in ("OR", "JOIN"):
+        while self.peek() in ("OR", "JOIN"):
             self.advance()
             node = BinOp("or", node, self.parse_and())
         return node
 
     def parse_and(self) -> Formula:
         node = self.parse_mul()
-        while self.peek().kind == "AND":
+        while self.peek() == "AND":
             self.advance()
             node = BinOp("and", node, self.parse_mul())
         return node
 
     def parse_mul(self) -> Formula:
         node = self.parse_unary()
-        while self.peek().kind == "MUL":
+        while self.peek() == "MUL":
             self.advance()
             node = BinOp("mul", node, self.parse_unary())
         return node
 
     def parse_unary(self) -> Formula:
-        if self.peek().kind not in ("BANG", "NEG"):
+        if self.peek() not in ("BANG", "NEG"):
             return self.parse_postfix()
         prefixes = []
-        while self.peek().kind in ("BANG", "NEG"):
-            prefixes.append(self.advance().kind)
+        while self.peek() in ("BANG", "NEG"):
+            prefixes.append(self.advance()[0])
         node = self.parse_postfix()
         for kind in reversed(prefixes):
             node = Bang(node) if kind == "BANG" else negation(node)
@@ -252,38 +246,36 @@ class _Parser:
 
     def parse_postfix(self) -> Formula:
         node = self.parse_atom()
-        while self.peek().kind == "PERP":
+        while self.peek() == "PERP":
             self.advance()
             node = negation(node)
         return node
 
     def parse_atom(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "LP":
+        kind, text, pos = self.advance()
+        if kind == "LP":
             self.parens += 1
             if self.parens > MAX_NESTING:
-                raise ParseError(f"Parentheses nest deeper than {MAX_NESTING}", tok.pos)
+                raise ParseError(f"Parentheses nest deeper than {MAX_NESTING}", pos)
             node = self.parse_form()
             self.expect("RP")
             self.parens -= 1
             return node
-        if tok.kind == "NUM":  # girard's 0 is spelled _|_
-            if tok.text == "1" or tok.text == "0" and self.notation == "substructural":
-                return ONE if tok.text == "1" else ZERO
-            raise ParseError(
-                f"Unknown symbol {tok.text!r} for the {self.notation} notation", tok.pos
-            )
-        if tok.kind == "ZERO":
+        if kind == "NUM":  # girard's 0 is spelled _|_
+            if text == "1" or text == "0" and self.notation == "substructural":
+                return ONE if text == "1" else ZERO
+            raise ParseError(f"Unknown symbol {text!r} for the {self.notation} notation", pos)
+        if kind == "ZERO":
             return ZERO
-        if tok.kind == "BOTG":
+        if kind == "BOTG":
             return BOT
-        if tok.kind == "IDENT":  # girard's bot is spelled 0g
-            if tok.text == "top" or tok.text == "bot" and self.notation == "substructural":
-                return TOP if tok.text == "top" else BOT
-            if tok.text in _RESERVED_NAMES:
-                raise ParseError(f"Reserved word {tok.text!r}", tok.pos)
-            return Var(tok.text)
-        raise ParseError(f"Unexpected token {tok.text!r}", tok.pos)
+        if kind == "IDENT":  # girard's bot is spelled 0g
+            if text == "top" or text == "bot" and self.notation == "substructural":
+                return TOP if text == "top" else BOT
+            if text in _RESERVED_NAMES:
+                raise ParseError(f"Reserved word {text!r}", pos)
+            return Var(text)
+        raise ParseError(f"Unexpected token {text!r}", pos)
 
 
 def parse(text: str, notation: str = "substructural") -> Formula:
@@ -293,9 +285,9 @@ def parse(text: str, notation: str = "substructural") -> Formula:
         raise ParseError("Empty formula", 0)
     parser = _Parser(text, notation)
     node = parser.parse_form()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise ParseError(f"Trailing input {tail.text!r}", tail.pos)
+    kind, text, pos = parser.advance()
+    if kind != "EOF":
+        raise ParseError(f"Trailing input {text!r}", pos)
     # each token adds at most one level, so only long inputs need the walk,
     # which is iterative because the tree may be deeper than the recursion limit
     stack = [(node, 0)] if len(parser.tokens) > MAX_NESTING else []

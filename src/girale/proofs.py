@@ -15,8 +15,9 @@ rule keeps 0 within each atom's interval of counts over the choices of
 additive branches, so a goal whose interval misses 0 is unprovable.  And
 ->r, *l, /\\r, \\/l and 1l are invertible, their premises following from
 their goal by cut: once such a premise fails at every budget, so does the
-goal, and no later instance is tried.  A proof is the pruned search's first;
-only a failure it cut off is searched again unpruned, which may decide it.
+goal, and no later instance is tried.  A failure the bound cut off is searched
+again at a height no branch reaches: a failure is exhaustive (unprovable) just
+when no cut-free proof exists at any depth, else (unknown) one exists deeper.
 Search and proof checking run over int codes for the subformulas of the
 root sequent, through one rule table for both calculi.  A Maehara-style
 split of a cut-free proof yields midpoint formulas by one side rule: a
@@ -523,8 +524,9 @@ def search_sequent(
     seq: Sequent, bound: int, with_exchange: bool = True
 ) -> tuple[SequentProof | None, bool]:
     """Backward cut-free search up to the given proof depth: the first proof
-    found or None, and whether that answer holds at every bound (after a
-    failure: whether no branch it depends on was cut off by the bound).
+    found or None, and whether that answer holds at every bound.  A failure is
+    exhaustive (unprovable) just when the sequent has no cut-free proof at any
+    depth; one that is not (unknown) has a cut-free proof deeper than the bound.
 
     The search skips two kinds of goal, memoised as failed at every budget.
     A goal that fails the count test (``count_test``) has no proof: each
@@ -533,26 +535,29 @@ def search_sequent(
     invertible rules has a premise that fails at every budget: a proof of the
     goal and a cut give one of the premise, and cut elimination a cut-free
     one.  Neither skips a provable goal, so a proof is found just when one
-    exists within the bound.  A failure cut off is searched again unpruned,
-    which meets goals at other budgets and may cover the whole cut-free
-    space: the answer is exhaustive if either search was."""
+    exists within the bound.  A failure cut off is searched again at the
+    sequent's size plus one, a height that no branch reaches."""
     if bound < 1:
         raise ValueError("bound must be at least 1.")
     calculus = _calculus(seq, with_exchange)
     formulas = calculus.formulas  # bangs sort last
     if BOT in calculus.code or TOP in calculus.code or formulas and type(formulas[-1]) is Bang:
         _check_fragment(seq)  # names the first formula's symbols outside the fragment
-    proof, exhaustive = _search(calculus, seq, bound, calculus.count_test())
+    balanced = calculus.count_test()
+    proof, exhaustive = _search(calculus, seq, bound, balanced)
     if proof is not None or exhaustive:
         return proof, exhaustive
-    return _search(calculus, seq, bound)
+    height = sum(formula_size(f) for f in (*seq.antecedent, seq.succedent) if f is not None) + 1
+    return None, _search(calculus, seq, height, balanced)[0] is None
 
 
 def _search(
-    calculus: _Calculus, seq: Sequent, bound: int, balanced: Callable[[Goal], bool] | None = None
+    calculus: _Calculus, seq: Sequent, bound: int, balanced: Callable[[Goal], bool]
 ) -> tuple[SequentProof | None, bool]:
     """The memoised search of ``search_sequent``, pruned by the count test
-    ``balanced`` and by commits on invertible rules if it is given."""
+    ``balanced`` and by commits on invertible rules: the first proof within the
+    bound or None, and whether no branch was cut off, which makes a failure
+    exhaustive: no cut-free proof at any depth.  At the height bound none is."""
     instances, formulas = calculus.instances, calculus.formulas
     # a goal's proof and its depth, or None and the budget it failed at
     memo: dict[Goal, tuple[SequentProof | None, float]] = {}
@@ -571,7 +576,7 @@ def _search(
             elif value >= budget:  # failed at this depth or deeper already
                 cuts += hit is not _NEVER
                 return None
-        elif balanced is not None and not balanced(goal):
+        elif not balanced(goal):
             memo[goal] = _NEVER
             return None
         if budget < 1:
@@ -591,7 +596,7 @@ def _search(
                 memo[goal] = (proof, proof.depth())
                 cuts = before  # cut-offs under a proof decide nothing
                 return proof
-            if balanced is not None and rule in _INVERTIBLE and memo.get(premise) is _NEVER:
+            if rule in _INVERTIBLE and memo.get(premise) is _NEVER:
                 memo[goal] = _NEVER  # so cut-offs under it decide nothing either
                 cuts = before
                 return None

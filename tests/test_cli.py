@@ -152,7 +152,7 @@ def test_prove_exhaustive_failure_is_unprovable(capsys):
     # decided at bound 1 too: the one premise, => x -> 0, has x unbalanced
     code, doc = invoke_json(capsys, ["prove", "--sequent", "(x -> 0) -> 0 => x", "--bound", "1"])
     assert code == 1 and doc["result"]["status"] == "unprovable"
-    # balanced, and cut off at bound 1, so not decided
+    # balanced, and provable only deeper than bound 1, so not decided
     code, doc = invoke_json(capsys, ["prove", "--sequent", "x, x -> y => y * 1", "--bound", "1"])
     assert code == 0 and doc["result"]["status"] == "unknown"
 
@@ -171,10 +171,10 @@ def test_prove_over_capacity_countermodel_search_keeps_a_decided_verdict(capsys)
     assert doc["result"] == {
         "status": "unprovable",
         "bound": 12,
-        "note": "certificate: exhaustive cut-free search, never cut off at the bound",
+        "note": "certificate: exhaustive cut-free search, no proof at any depth",
     }
-    # every atom balances, and the search is cut off at bound 1: nothing is
-    # decided, so the capacity error stands
+    # every atom balances, and the sequent is provable, only not within bound
+    # 1: nothing is decided, so the capacity error stands
     code, doc = invoke_json(capsys, ["prove", "--sequent", ELEVEN_BALANCED, "--bound", "1"])
     assert code == 3
     assert "exceeds" in doc["result"]["error"]
@@ -196,7 +196,8 @@ def test_prove_without_exchange(capsys):
 
 
 # name -> (argv, exit code), captured before the search ran over subformula codes;
-# prove-cut-off since, when the count test decided its old sequent at bound 1
+# prove-cut-off since, when the count test decided its old sequent at bound 1;
+# prove-decided-past-bound is cut off at bound 1 and decided past it
 PROVE_PINNED = {
     "prove-arrow-times": (["--sequent", "x, y, x -> z => z * y"], 0),
     "prove-repeated": (["--sequent", "x, x, x -> y, x -> y => y * y"], 0),
@@ -204,6 +205,7 @@ PROVE_PINNED = {
     "prove-unprovable": (["--sequent", "(x -> 0) -> 0 => x"], 1),
     "prove-refuted": (["--sequent", "a, a -> b, b -> c, c -> d => d * a"], 1),
     "prove-cut-off": (["--sequent", "x, x -> y => y * 1", "--bound", "1"], 0),
+    "prove-decided-past-bound": (["--sequent", "1 =>", "--bound", "1"], 1),
 }
 
 

@@ -112,8 +112,11 @@ def test_exhaustive_failures_decide(seq, bound, with_exchange):
         translated = sequent_to_formula(seq)
         assert all(valid(A, translated).holds for A in CATALOG)
     proof, exhaustive = search_sequent(seq, bound, with_exchange)
-    if proof is None and exhaustive:
-        assert search_sequent(seq, total + 2, with_exchange)[0] is None
+    if proof is None:
+        # exhaustive just when no cut-free proof exists at any depth
+        assert exhaustive == (ref.prove_sequent(seq, total + 1, with_exchange) is None)
+        if exhaustive:
+            assert search_sequent(seq, total + 2, with_exchange)[0] is None
 
 
 # A goal that failed cut off, met again at a smaller budget, must cut off the
@@ -200,7 +203,6 @@ def test_invertible_rule_commits(with_exchange):
     assert _balanced(seq, with_exchange)
     assert not _balanced(parse_sequent("x => 0"), with_exchange)
     assert search_sequent(seq, 1, with_exchange) == (None, True)
-    assert _search(_Calculus(seq, with_exchange), seq, 1) == (None, False)
     assert ref.prove_sequent(seq, _sequent_size(seq) + 1, with_exchange) is None
 
 
@@ -218,16 +220,16 @@ def test_failed_premises_of_other_rules_commit_nothing(text, with_exchange):
     assert _same(proof, ref.prove_sequent(seq, 12, with_exchange))
 
 
-# The pruned search meets => 0 \/ 0 first at budget 2 and is cut off there,
-# where the unpruned search meets it at budget 3 and covers its whole space;
-# the unpruned search decides these failures.
-DECIDED_UNPRUNED = [
+# The search at bound 6 meets => 0 \/ 0 first at budget 2 and is cut off
+# there; searched again at the height bound, the sequent's size plus one, no
+# branch is cut off, so these failures are decided at the height bound.
+DECIDED_AT_THE_HEIGHT_BOUND = [
     "(0 \\/ 0) -> 1 => (p /\\ 0) \\/ (0 \\/ p)",
     "1, 0, (q \\/ 0) -> (1 \\/ 0) => q \\/ (1 \\/ q)",
 ]
 
 
-@pytest.mark.parametrize("text", DECIDED_UNPRUNED)
+@pytest.mark.parametrize("text", DECIDED_AT_THE_HEIGHT_BOUND)
 @pytest.mark.parametrize("with_exchange", [True, False])
 def test_failures_the_pruned_search_cuts_off_stay_exhaustive(text, with_exchange):
     seq = parse_sequent(text)
@@ -236,9 +238,8 @@ def test_failures_the_pruned_search_cuts_off_stay_exhaustive(text, with_exchange
     assert search_sequent(seq, 6, with_exchange) == (None, True)
 
 
-# A provable sequent takes one search, the pruned one; only a failure it cut
-# off is searched again.  Unpruned, this chain's search takes about 100 times
-# as long at bound 12.
+# A provable sequent takes one search; only a failure it cut off is searched
+# again, at the height bound.
 CHAIN = "a, a -> b, b -> c, c -> d, d -> e, e -> f, f -> g, g -> h, h -> i, i -> j => (j * 1) \\/ a"
 
 
@@ -260,11 +261,15 @@ def test_a_proof_takes_one_search(monkeypatch, with_exchange):
     assert len(searches) == 1
     assert proof is not None and exhaustive and proof.depth() == 12
     assert not validate_proof(proof, True) and not validate_proof(proof, False)
+    # cut off at bound 3 and proved at the height bound: open, not exhaustive
+    assert search_sequent(parse_sequent(CHAIN), 3, with_exchange) == (None, False)
+    assert len(searches) == 3
 
 
-@pytest.mark.parametrize("text", DECIDED_UNPRUNED)
+@pytest.mark.parametrize("text", DECIDED_AT_THE_HEIGHT_BOUND)
 @pytest.mark.parametrize("with_exchange", [True, False])
 def test_only_cut_off_failures_are_searched_again(monkeypatch, text, with_exchange):
     searches = _count_searches(monkeypatch)
     assert search_sequent(parse_sequent(text), 6, with_exchange) == (None, True)
     assert len(searches) == 2
+    assert searches[0][3] is searches[1][3]  # one count test for both
