@@ -77,8 +77,9 @@ class FiniteAlgebra:
             object.__setattr__(self, "_hash", hash(fields))
             return self._hash  # type: ignore[attr-defined]
 
-    def __getstate__(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+    def __reduce__(self) -> tuple:
+        """Unpickle through the constructor: no cached hash, and fresh attribute storage."""
+        return type(self), tuple(getattr(self, field.name) for field in dataclasses.fields(self))
 
     @property
     def signature(self) -> frozenset[str]:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import AlgHom, FiniteAlgebra, trivial_algebra
-from .construct import KClassQuery, MembershipResult, _restrict, build_R, lift_embedding, member_K
+from .construct import (
+    KClassQuery, MembershipResult, build_R, lift_embedding, member_K, restrict_embedding
+)
 from .group import (
     FiniteGroup,
     GroupHom,
@@ -85,17 +87,6 @@ class AmalgamReport:
         return [item for item in self.checks if not item.passed]
 
 
-def _leg_group_hom(
-    src: MembershipResult, phi: AlgHom, tgt: MembershipResult
-) -> GroupHom:
-    """Group embedding induced on subreducts by an algebra embedding."""
-    if src.trivial:  # the unit map out of the trivial algebra, on the trivial group
-        target = tgt.group or make_group([1])
-        return GroupHom(make_group([1]), target, (target.identity,))
-    assert src.parts is not None and tgt.parts is not None
-    return _restrict(phi, src.parts, tgt.parts)
-
-
 def amalgamate(span: Span, query: KClassQuery) -> Amalgam:
     """Amalgamate a span of class members; the result is again a member."""
     results = {}
@@ -106,14 +97,9 @@ def amalgamate(span: Span, query: KClassQuery) -> Amalgam:
         results[name] = result
 
     if results["B"].trivial and results["C"].trivial:
-        D = span.B
-        psi1 = AlgHom(span.B, D, (0,))
-        psi2 = AlgHom(span.C, D, (0,))
-        return Amalgam(D, psi1, psi2)
+        return Amalgam(span.B, AlgHom(span.B, span.B, (0,)), AlgHom(span.C, span.B, (0,)))
 
-    alpha1 = _leg_group_hom(results["A"], span.phi1, results["B"])
-    alpha2 = _leg_group_hom(results["A"], span.phi2, results["C"])
-    po = pushout(alpha1, alpha2)
+    po = pushout(restrict_embedding(span.phi1), restrict_embedding(span.phi2))
     D = build_R(po.group, query.signature)
 
     def lifted_leg(endpoint: FiniteAlgebra, result: MembershipResult, leg: GroupHom) -> AlgHom:

@@ -5,9 +5,9 @@ attached, or ``prove`` status unprovable: no cut-free proof at any depth), 2
 usage or input errors, 3 capacity errors, 4 an internal error (a bug: any
 other exception, reported with its message); a bounded search without an
 answer (exhausted, or ``prove`` status unknown: a cut-free proof exists, only
-deeper than --bound) exits 0 with a note.  With --json every payload is a
-single JSON object embedding the tool version and SHA-256 hashes of all
-inputs, so repeated runs are byte-identical.
+deeper than --bound, so no countermodel is looked for) exits 0 with a note.
+With --json every payload is a single JSON object embedding the tool version
+and SHA-256 hashes of all inputs, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -338,6 +338,9 @@ def _cmd_prove(args, inputs: _Inputs):
         }
         return EXIT_TRUE, payload
     payload = {"status": "unknown", "bound": args.bound}
+    if not exhaustive:  # a cut-free proof exists, deeper than the bound, so no countermodel
+        payload["note"] = "search cut off at the bound; not a proof or a refutation"
+        return EXIT_TRUE, payload
     translated = sequent_to_formula(seq)
     try:
         for A in _refutation_catalog():
@@ -348,15 +351,11 @@ def _cmd_prove(args, inputs: _Inputs):
                 payload["countermodel"] = _named_assignment(A, refutation.countermodel)
                 payload["formula"] = render(translated)
                 return EXIT_FALSE, payload
-    except CapacityError:
-        if not exhaustive:  # nothing decided: report the capacity error
-            raise
-    if exhaustive:
-        payload["status"] = "unprovable"
-        payload["note"] = "certificate: exhaustive cut-free search, no proof at any depth"
-        return EXIT_FALSE, payload
-    payload["note"] = "search cut off at the bound; not a proof or a refutation"
-    return EXIT_TRUE, payload
+    except CapacityError:  # the exhaustive search has decided already
+        pass
+    payload["status"] = "unprovable"
+    payload["note"] = "certificate: exhaustive cut-free search, no proof at any depth"
+    return EXIT_FALSE, payload
 
 
 def _cmd_check_proof(args, inputs: _Inputs):

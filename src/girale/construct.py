@@ -28,6 +28,7 @@ from .group import (
     PrimeSet,
     check_sigma,
     group_from_table,
+    make_group,
 )
 
 SIGNATURE_FULL = frozenset(OPTIONAL_SYMBOLS)
@@ -174,17 +175,29 @@ def lift_embedding(
     return AlgHom(source, target, tuple(alpha.mapping) + (h, h + 1))
 
 
-def _restrict(phi: AlgHom, src: RParts, tgt: RParts) -> GroupHom:
-    """The group map that an embedding between expansions induces on their group parts."""
-    # an embedding keeps 1 and the product, so it sends invertibles to invertibles: never to a bound
-    tgt_index = {a: i for i, a in enumerate(tgt.to_algebra)}
-    return GroupHom(src.group, tgt.group, tuple(tgt_index[phi.mapping[a]] for a in src.to_algebra))
-
-
 def restrict_embedding(beta: AlgHom) -> GroupHom:
-    """Cut an embedding between expansions down to the group subreducts (not re-checked)."""
+    """Cut an embedding between expansions down to the group subreducts (not re-checked).
+
+    Both ends come from the shape cache that ``member_K`` fills, the source first.
+    The trivial algebra is the expansion of Z1: a map out of it restricts to the
+    unit map of Z1.  Any other end that is no expansion raises as ``split_R`` does.
+    """
     beta.require_embedding("The algebra map to restrict_embedding")
-    return _restrict(beta, split_R(beta.source), split_R(beta.target))
+    src, tgt = map(_expansion_parts, (beta.source, beta.target))
+    if src is None:
+        target = tgt.group if tgt is not None else make_group([1])
+        return GroupHom(make_group([1]), target, (target.identity,))
+    # an embedding keeps 1 and the product, so it sends invertibles to invertibles: never to a bound
+    index = {a: i for i, a in enumerate(tgt.to_algebra)}
+    return GroupHom(src.group, tgt.group, tuple(index[beta.mapping[a]] for a in src.to_algebra))
+
+
+def _expansion_parts(A: FiniteAlgebra) -> RParts | None:
+    """The parts of an expansion, None for the trivial algebra."""
+    shape = _shape(A, A.names)
+    if shape.parts is None and not shape.trivial:  # the failure split_R raised to _shape
+        raise NotAnExpansion(shape.failed, shape.witness)
+    return shape.parts
 
 
 @dataclass(frozen=True)

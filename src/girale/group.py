@@ -93,9 +93,9 @@ class FiniteGroup:
             object.__setattr__(self, "_hash", hash(fields))
             return self._hash  # type: ignore[attr-defined]
 
-    def __getstate__(self) -> dict:
-        """The fields alone: string hashes differ between processes."""
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+    def __reduce__(self) -> tuple:
+        """Unpickle through the constructor: no cached hash, and fresh attribute storage."""
+        return type(self), tuple(getattr(self, field.name) for field in dataclasses.fields(self))
 
     @property
     def orders(self) -> tuple[int, ...]:

@@ -334,9 +334,8 @@ def deduction_check(
     for A in algebras:
         if A.bang is None:
             raise ValueError("deduction_check needs the guard in every signature.")
-    guarded = Bang(phi)
-    judgments = (((*premises, phi), psi), (premises, BinOp("imp", guarded, psi)),
-                 (premises, BinOp("imp", guarded, Bang(psi))))
+    readings = (_READINGS[r][0](phi, psi) for r in ("deductive", "half-guarded", "guarded"))
+    judgments = [((*premises, *ps), c) for ps, c in readings]
     evaluator = _Evaluator(algebras, [f for ps, c in judgments for f in (*ps, c)])
     return DeductionReport(*(evaluator.consequence(*judgment) for judgment in judgments))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -295,3 +296,18 @@ def test_require_embedding_runs_once_per_map_and_never_remembers_a_failure(viola
             with pytest.raises(ValueError, match=f"^{who} is not"):
                 bad.require_embedding(who)
     assert len(violation_calls) == 1 + 3  # the collapse fails injectivity before any hom check
+
+
+def test_pickle_round_trip_builds_a_fresh_algebra(monkeypatch):
+    """Unpickling goes through the constructor: an equal algebra with its names,
+    its hash recomputed and not carried over."""
+    A = build_R(make_group([12]), SIGNATURE_FULL)
+    hash(A)
+    data = pickle.dumps(A)
+    built = []
+    init = FiniteAlgebra.__init__
+    monkeypatch.setattr(FiniteAlgebra, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    copy = pickle.loads(data)
+    assert built == [copy] and "_hash" not in vars(copy)
+    assert copy == A and copy.names == A.names
+    assert hash(copy) == hash(A)

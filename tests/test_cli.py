@@ -174,10 +174,15 @@ def test_prove_over_capacity_countermodel_search_keeps_a_decided_verdict(capsys)
         "note": "certificate: exhaustive cut-free search, no proof at any depth",
     }
     # every atom balances, and the sequent is provable, only not within bound
-    # 1: nothing is decided, so the capacity error stands
+    # 1: a cut-off failure rules out a countermodel, so none is searched for
+    # and the over-capacity grid is never built
     code, doc = invoke_json(capsys, ["prove", "--sequent", ELEVEN_BALANCED, "--bound", "1"])
-    assert code == 3
-    assert "exceeds" in doc["result"]["error"]
+    assert code == 0
+    assert doc["result"] == {
+        "status": "unknown",
+        "bound": 1,
+        "note": "search cut off at the bound; not a proof or a refutation",
+    }
 
 
 def test_prove_without_exchange(capsys):

@@ -2,7 +2,14 @@ import dataclasses
 
 import pytest
 
-from girale.algebra import check_signature_laws, enumerate_homs, trivial_algebra
+from girale import construct
+from girale.algebra import (
+    AlgHom,
+    check_signature_laws,
+    direct_product,
+    enumerate_homs,
+    trivial_algebra,
+)
 from girale.capacity import CapacityError
 from girale.construct import (
     KClassQuery,
@@ -11,6 +18,7 @@ from girale.construct import (
     lift_embedding,
     member_K,
     parse_signature,
+    NotAnExpansion,
     restrict_embedding,
     split_R,
 )
@@ -171,6 +179,91 @@ def test_embeddings_between_expansions_are_lifts():
     expected = {h.mapping for h in group_homs(Z2, klein, injective_only=True)}
     assert restricted == expected
     assert len(found) == len(expected) == 3
+
+
+def test_restrict_embedding_out_of_the_trivial_algebra():
+    """The trivial algebra is the expansion of Z1: a map out of it restricts
+    to the unit map of Z1, into the target's group or into Z1."""
+    for sig in (frozenset(), frozenset({"0", "bang"})):
+        T, B = trivial_algebra(sig), build_R(Z3, sig)
+        assert restrict_embedding(AlgHom(T, B, (B.one,))) == GroupHom(TRIVIAL, Z3, (0,))
+        assert restrict_embedding(AlgHom(T, T, (0,))) == GroupHom(TRIVIAL, TRIVIAL, (0,))
+
+
+def _raised(call, *args):
+    """The ValueError a call raises: its type, message, reason and witness."""
+    with pytest.raises(ValueError) as caught:
+        call(*args)
+    error = caught.value
+    return type(error), str(error), getattr(error, "failed", None), getattr(error, "witness", None)
+
+
+def _identity(algebra):
+    return AlgHom(algebra, algebra, tuple(range(algebra.size)))
+
+
+R1 = build_R(TRIVIAL)
+# R(Z1) x R(Z1): (bot|1) is interior and not invertible, so sentence 1 fails
+SQUARE = direct_product(R1, R1)
+
+
+def _broken_z3():
+    """R(Z3) with a * a moved to the unit: its product is no longer associative."""
+    mult = [list(row) for row in build_R(Z3).mult]
+    mult[1][1] = 0
+    return dataclasses.replace(build_R(Z3), mult=tuple(map(tuple, mult)))
+
+
+BROKEN = _broken_z3()
+
+
+def _non_expansions():
+    """A sentence-1 failure, a unit on a bound and a class-law failure, each
+    with an embedding into it from an expansion or the trivial algebra."""
+    from tests.conftest import bounded_involutive_chain
+
+    chain = dataclasses.replace(bounded_involutive_chain(), zero=None, bot=None, top=None)
+    lift = lift_embedding(GroupHom(TRIVIAL, Z3, (0,))).mapping
+    return [
+        (SQUARE, AlgHom(R1, SQUARE, tuple(a * R1.size + a for a in range(R1.size)))),
+        (chain, AlgHom(trivial_algebra(), chain, (chain.one,))),
+        (BROKEN, AlgHom(R1, BROKEN, lift)),
+    ]
+
+
+def test_restrict_embedding_raises_as_split_R_does():
+    """On an end that is no expansion, restrict_embedding raises what split_R
+    raises on it: the exception, its reason and its witness, the source first."""
+    reasons = []
+    for algebra, into in _non_expansions():
+        expected = _raised(split_R, algebra)
+        reasons.append(expected[2])
+        assert _raised(restrict_embedding, _identity(algebra)) == expected  # at the source
+        assert _raised(restrict_embedding, into) == expected  # at the target
+    assert reasons == ["sentence-1", "unit-is-a-bound", None]
+    # a source that fails sentence 1, into a target that fails its class laws
+    target = direct_product(SQUARE, BROKEN)
+    beta = AlgHom(SQUARE, target, tuple(a * BROKEN.size + BROKEN.one for a in range(SQUARE.size)))
+    assert _raised(split_R, target)[0] is ValueError
+    assert _raised(restrict_embedding, beta) == _raised(split_R, SQUARE)
+    assert _raised(restrict_embedding, beta)[0] is NotAnExpansion
+
+
+def test_restrict_embedding_reads_the_shapes_member_K_found(monkeypatch):
+    """Once member_K has seen both ends, restrict_embedding makes no split_R call."""
+    klein = make_group([2, 2])
+    beta = enumerate_homs(build_R(Z2), build_R(klein), injective_only=True)[0]
+    calls = []
+    split = construct.split_R
+    monkeypatch.setattr(construct, "split_R", lambda A: calls.append(A) or split(A))
+    member_K.cache_clear()
+    alpha = restrict_embedding(beta)
+    assert calls == [beta.source, beta.target]  # not yet seen: one split per end
+    member_K.cache_clear()
+    query = KClassQuery(PrimeSet.of(3), frozenset())
+    assert member_K(beta.source, query).member and member_K(beta.target, query).member
+    del calls[:]
+    assert restrict_embedding(beta) == alpha and calls == []
 
 
 def test_member_K_separation():

@@ -316,6 +316,21 @@ def test_pickled_group_drops_its_cached_hash():
     assert out.split() == [b"True", b"True", b"Z2xZ4"]
 
 
+def test_pickle_round_trip_builds_a_fresh_group(monkeypatch):
+    """Unpickling goes through the constructor: an equal group with its names,
+    its hash recomputed and not carried over."""
+    group = make_group([2, 6])
+    hash(group)
+    data = pickle.dumps(group)
+    built = []
+    init = FiniteGroup.__init__
+    monkeypatch.setattr(FiniteGroup, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    copy = pickle.loads(data)
+    assert built == [copy] and "_hash" not in vars(copy)
+    assert copy == group and copy.element_names == group.element_names
+    assert hash(copy) == hash(group)
+
+
 def test_group_facts_are_computed_once():
     group = make_group([2, 6])
     assert group.orders is group.orders
