@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import types
+
 from .algebra import (
     AlgHom,
     ClassReport,
@@ -58,59 +60,6 @@ from .semantics import (
     valid,
 )
 
-__all__ = [
-    "AlgHom",
-    "Amalgam",
-    "CapacityError",
-    "ClassReport",
-    "CongruenceSet",
-    "FiniteAlgebra",
-    "FiniteGroup",
-    "Formula",
-    "GroupHom",
-    "HilbertSystem",
-    "KClassQuery",
-    "MembershipResult",
-    "NotResiduated",
-    "ParseError",
-    "PrimeSet",
-    "SYSTEMS",
-    "Sequent",
-    "SequentProof",
-    "Span",
-    "amalgamate",
-    "build_R",
-    "check_class",
-    "check_derivation",
-    "check_signature_laws",
-    "check_sigma",
-    "congruence_set",
-    "consequence",
-    "deduction_check",
-    "direct_product",
-    "enumerate_homs",
-    "eval_formula",
-    "extract_craig",
-    "free_variables",
-    "girale_expand",
-    "interpolant_search",
-    "is_essential",
-    "lift_embedding",
-    "make_group",
-    "match_axiom",
-    "member_K",
-    "negative_cone",
-    "parse",
-    "parse_sequent",
-    "prove_sequent",
-    "pushout",
-    "render",
-    "residuals_from_mult",
-    "restrict_embedding",
-    "search_sequent",
-    "span_catalog",
-    "substitute",
-    "trivial_algebra",
-    "valid",
-    "verify_amalgam",
-]
+# the public API: every name imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -136,6 +136,13 @@ def _named_assignment(A, assignment: dict[str, int]) -> dict[str, str]:
     return {k: A.name_of(v) for k, v in sorted(assignment.items())}
 
 
+def _refutation(algebras, result) -> dict:
+    """The index of the refuting algebra and the countermodel, by element names."""
+    index, countermodel = result.algebra_index, result.countermodel
+    assert index is not None and countermodel is not None
+    return {"algebra_index": index, "countermodel": _named_assignment(algebras[index], countermodel)}
+
+
 # --- command handlers ------------------------------------------------------
 
 
@@ -163,10 +170,8 @@ def _cmd_build(args, inputs: _Inputs):
     algebra = build_R(group, signature)
     payload = {"algebra": algebra_to_json(algebra)}
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(algebra_to_json(algebra), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(payload["algebra"], indent=2, sort_keys=True) + "\n"
+        Path(args.out).write_text(text, encoding="utf-8")
         payload["written"] = args.out
     return EXIT_TRUE, payload
 
@@ -287,11 +292,7 @@ def _cmd_consequence(args, inputs: _Inputs):
     result = consequence(algebras, premises, conclusion)
     payload: dict = {"holds": result.holds}
     if not result.holds:
-        assert result.algebra_index is not None and result.countermodel is not None
-        payload["algebra_index"] = result.algebra_index
-        payload["countermodel"] = _named_assignment(
-            algebras[result.algebra_index], result.countermodel
-        )
+        payload.update(_refutation(algebras, result))
     return (EXIT_TRUE if result.holds else EXIT_FALSE), payload
 
 
@@ -315,11 +316,7 @@ def _cmd_interpolate(args, inputs: _Inputs):
         ]
         return EXIT_TRUE, payload
     if result.status == "refused":
-        assert result.algebra_index is not None and result.countermodel is not None
-        payload["algebra_index"] = result.algebra_index
-        payload["countermodel"] = _named_assignment(
-            algebras[result.algebra_index], result.countermodel
-        )
+        payload.update(_refutation(algebras, result))
         return EXIT_FALSE, payload
     payload["note"] = "bounded search exhausted; not a refutation"
     return EXIT_TRUE, payload

@@ -185,8 +185,9 @@ def restrict_embedding(beta: AlgHom) -> GroupHom:
     beta.require_embedding("The algebra map to restrict_embedding")
     src, tgt = map(_expansion_parts, (beta.source, beta.target))
     if src is None:
-        target = tgt.group if tgt is not None else make_group([1])
-        return GroupHom(make_group([1]), target, (target.identity,))
+        unit = make_group([1])
+        target = unit if tgt is None else tgt.group
+        return GroupHom(unit, target, (target.identity,))
     # an embedding keeps 1 and the product, so it sends invertibles to invertibles: never to a bound
     index = {a: i for i, a in enumerate(tgt.to_algebra)}
     return GroupHom(src.group, tgt.group, tuple(index[beta.mapping[a]] for a in src.to_algebra))

@@ -4,13 +4,18 @@ A formula holds in an algebra when its value v satisfies v /\\ 1 = 1 under
 every assignment; consequence relativizes that to a finite list of algebras.
 One vector evaluator serves ``consequence``, ``valid``, ``deduction_check``
 and interpolant search.  It takes a batch of consecutive catalog algebras as
-one disjoint union: block-diagonal flat tables of global indices, in the
-smallest dtype holding N^2, over each block's grid in lexicographic order of
-the sorted variable names, so the first countermodel is deterministic.  A
-batch holds algebras that have every symbol the formulas use and whose grid
-fits ``MAX_GRID``, and ends before its cells pass ``MAX_GRID`` or its
-elements 256 (so that it indexes in uint16); any other algebra is a batch of
-its own.  Within one call each distinct subformula is evaluated once.
+one disjoint union of N elements: block-diagonal flat tables of global
+indices, in the smallest dtype holding N^2, over each block's grid in
+lexicographic order of the sorted variable names, so the first countermodel
+is deterministic.  A batch holds algebras that have every symbol the
+formulas use and whose grid fits ``MAX_GRID``, and ends before its cells
+pass ``MAX_GRID`` or its elements 256 (so that it indexes in uint16); any
+other algebra is a batch of its own.  The batch spans, and per batch and
+number of variables the tables, grid and constant columns, are kept in
+bounded caches, and their arrays and the kept values are read-only.  A
+binary node is one add and one gather: its left operand comes as N times
+its value, from tables and columns also kept times N.  Within one call each
+distinct subformula is evaluated once.
 Interpolant search reads one candidate stream, smallest first, and judges
 each candidate whose value vector is new.  Three evaluators serve the whole
 search: one over the atoms gives the value vectors, and one over phi and one
@@ -20,6 +25,7 @@ is re-verified by the separate scalar evaluator.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +44,6 @@ from .formula import (
     Var,
     depth as formula_depth,
     free_variables,
-    render,
     size as formula_size,
 )
 
@@ -110,79 +115,120 @@ _UNION_ELEMENTS = 256  # most elements in a batch of several algebras
 
 
 @lru_cache(maxsize=64)
-def _union(algebras: tuple[FiniteAlgebra, ...]) -> tuple[tuple[int, ...], dict, np.ndarray]:
-    """The block offsets, block-diagonal flat tables ("bang": None unless every
-    block has it) and designated elements of a disjoint union of algebras."""
-    sizes = [A.size for A in algebras]
-    n = sum(sizes)
-    offsets = tuple(itertools.accumulate(sizes[:-1], initial=0))
-    square = {op: np.zeros((n, n), dtype=_index_dtype(n * n)) for op in OPS}
-    for A, offset in zip(algebras, offsets):
-        block = slice(offset, offset + A.size)
-        for op, table in zip(OPS, (A.meet, A.join, A.mult, A.imp)):
-            square[op][block, block] = np.asarray(table) + offset
-    tables: dict = {op: table.ravel() for op, table in square.items()}
-    bangs = [np.asarray(A.bang) + o for A, o in zip(algebras, offsets) if A.bang is not None]
-    full = len(bangs) == len(algebras)
-    tables["bang"] = np.concatenate(bangs).astype(square["and"].dtype) if full else None
-    designated = np.concatenate([np.asarray(A.meet)[:, A.one] == A.one for A in algebras])
-    return offsets, tables, designated
+def _spans(algebras: tuple[FiniteAlgebra, ...], k: int, symbols: frozenset[str], max_grid: int,
+           max_elements: int) -> tuple[tuple[int, int], ...]:
+    """The (start, end) of each batch of k-variable judgments using ``symbols``.
+    The limits ``MAX_GRID`` and ``_UNION_ELEMENTS`` are passed in, so that the
+    cache follows them."""
+    fits = [symbols <= A.signature and A.size**k <= max_grid for A in algebras]
+    spans, start = [], 0
+    while start < len(algebras):
+        end, cells, elements = start + 1, algebras[start].size ** k, algebras[start].size
+        while fits[start] and end < len(algebras) and fits[end]:
+            cells += algebras[end].size ** k
+            elements += algebras[end].size
+            if cells > max_grid or elements > max_elements:
+                break
+            end += 1
+        spans.append((start, end))
+        start = end
+    return tuple(spans)
 
 
-@lru_cache(maxsize=8)
-def _cells(sizes: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The assignment grid of a union, one row of global indices per
-    variable: each block's grid in lexicographic order, block after block.
-    Also the first cell of each block."""
-    dtype = _index_dtype(sum(sizes) ** 2)
-    offsets = itertools.accumulate(sizes[:-1], initial=0)
-    blocks = [np.indices((m,) * k, dtype).reshape(k, m**k) + o for m, o in zip(sizes, offsets)]
-    rows = np.concatenate(blocks, axis=1)
-    rows.setflags(write=False)
-    return rows, np.cumsum([0] + [m**k for m in sizes[:-1]])
+class _Layout:
+    """What every k-variable judgment over one batch shares, as read-only
+    arrays: the flat tables, the grid (one row per variable position, each
+    block's grid in lexicographic order, block after block) and the
+    designated elements; and the first cell of each block.  Constant
+    columns, and each array times the union size N, are made on first use."""
+
+    def __init__(self, algebras: tuple[FiniteAlgebra, ...], k: int) -> None:
+        self.algebras, sizes = algebras, [A.size for A in algebras]
+        self.size = n = sum(sizes)
+        self.dtype = dtype = _index_dtype(n * n)
+        self.offsets = offsets = tuple(itertools.accumulate(sizes[:-1], initial=0))
+        self.counts = [m**k for m in sizes]
+        self.starts = tuple(itertools.accumulate(self.counts[:-1], initial=0))
+        square = {op: np.zeros((n, n), dtype) for op in OPS}
+        for A, offset in zip(algebras, offsets):
+            block = slice(offset, offset + A.size)
+            for op, table in zip(OPS, (A.meet, A.join, A.mult, A.imp)):
+                square[op][block, block] = np.asarray(table) + offset
+        arrays = {op: table.ravel() for op, table in square.items()}
+        bangs = [np.asarray(A.bang) + o for A, o in zip(algebras, offsets) if A.bang is not None]
+        if len(bangs) == len(algebras):  # else the guard is missing
+            arrays["bang"] = np.concatenate(bangs).astype(dtype)
+        grids = [np.indices((m,) * k, dtype).reshape(k, m**k) + o for m, o in zip(sizes, offsets)]
+        arrays.update(enumerate(np.concatenate(grids, axis=1)))
+        arrays["designated"] = np.concatenate([np.asarray(A.meet)[:, A.one] == A.one for A in algebras])
+        self.arrays = {(key, False): array for key, array in arrays.items()}
+        for array in arrays.values():
+            array.setflags(write=False)
+
+    def array(self, key: int | str, scaled: bool = False) -> np.ndarray:
+        """An op's or the guard's table, a variable position's row or a constant's column."""
+        vec = self.arrays.get((key, scaled))
+        if vec is None:
+            if scaled:
+                vec = self.array(key) * self.size
+            elif key == "bang":
+                raise ValueError("Guard connective is not in the algebra signature.")
+            else:
+                points = [_constant_index(A, key) + o for A, o in zip(self.algebras, self.offsets)]
+                vec = np.array(points, dtype=self.dtype).repeat(self.counts)
+            vec.setflags(write=False)
+            self.arrays[key, scaled] = vec
+        return vec
+
+
+_layout = lru_cache(maxsize=8)(_Layout)
 
 
 class _Batch:
     """Catalog algebras ``start`` and on, evaluated as one union over their
-    concatenated grids.  The values of the ``shared`` formulas are kept."""
+    concatenated grids.  The values and designated cells of the ``shared``
+    formulas are kept, read-only."""
 
     def __init__(self, algebras: tuple[FiniteAlgebra, ...], start: int, variables: Sequence[str],
                  shared: set[Formula]) -> None:
-        self.counts = [A.size ** len(variables) for A in algebras]
-        if self.counts[0] > MAX_GRID:  # then the algebra is alone in its batch
-            raise CapacityError(f"Assignment grid of size {self.counts[0]} exceeds {MAX_GRID}.")
-        self.algebras, self.start = algebras, start
-        self.offsets, self.tables, self.designated_at = _union(algebras)
-        rows, self.starts = _cells(tuple(A.size for A in algebras), len(variables))
-        self.columns = dict(zip(variables, rows))
-        self.size, self.dtype = len(self.designated_at), rows.dtype
-        self.shared, self.memo = shared, {}
+        cells = algebras[0].size ** len(variables)
+        if cells > MAX_GRID:  # then the algebra is alone in its batch
+            raise CapacityError(f"Assignment grid of size {cells} exceeds {MAX_GRID}.")
+        self.layout, self.start = _layout(algebras, len(variables)), start
+        self.position = {name: j for j, name in enumerate(variables)}
+        self.shared, self.memo, self.held = shared, {}, {}
 
-    def value(self, f: Formula) -> np.ndarray:
+    def value(self, f: Formula, scaled: bool = False) -> np.ndarray:
+        """The values of ``f``, times N if ``scaled``: the form of a left operand."""
         if isinstance(f, Var):
-            return self.columns[f.name]
-        vec = self.memo.get(f)
+            return self.layout.array(self.position[f.name], scaled)
+        if isinstance(f, Const):
+            return self.layout.array(f.symbol, scaled)
+        vec = self.memo.get((f, scaled))
         if vec is not None:
             return vec
-        if isinstance(f, Const):
-            points = [_constant_index(A, f.symbol) + o for A, o in zip(self.algebras, self.offsets)]
-            vec = np.array(points, dtype=self.dtype).repeat(self.counts)
+        if scaled and f in self.shared:  # gathered once, then one multiply
+            vec = self.value(f) * self.layout.size
         elif isinstance(f, Bang):
-            if self.tables["bang"] is None:
-                raise ValueError("Guard connective is not in the algebra signature.")
-            vec = self.tables["bang"].take(self.value(f.child))
+            vec = self.layout.array("bang", scaled).take(self.value(f.child))
         else:
-            left = self.value(f.left)
-            vec = self.tables[f.op].take(left * self.size + self.value(f.right))
+            vec = self.layout.array(f.op, scaled).take(self.value(f.left, True) + self.value(f.right))
         if f in self.shared:
-            self.memo[f] = vec
+            vec.setflags(write=False)
+            self.memo[f, scaled] = vec
         return vec
 
     def designated(self, f: Formula) -> np.ndarray:
-        return self.designated_at.take(self.value(f))
+        held = self.held.get(f)
+        if held is None:
+            held = self.layout.array("designated").take(self.value(f))
+            if f in self.shared:
+                held.setflags(write=False)
+                self.held[f] = held
+        return held
 
 
-def _scan(formulas: Iterable[Formula]) -> tuple[list[str], set[str], set[Formula]]:
+def _scan(formulas: Iterable[Formula]) -> tuple[list[str], frozenset[str], set[Formula]]:
     """The variables, the optional symbols, and the subformulas other than
     variables met more than once; below a repeat nothing is counted again."""
     names: set[str] = set()
@@ -205,7 +251,7 @@ def _scan(formulas: Iterable[Formula]) -> tuple[list[str], set[str], set[Formula
                 stack.append(f.child)
             else:
                 stack += (f.left, f.right)
-    return sorted(names), symbols.intersection(OPTIONAL_SYMBOLS), shared
+    return sorted(names), frozenset(OPTIONAL_SYMBOLS).intersection(symbols), shared
 
 
 class _Evaluator:
@@ -218,48 +264,33 @@ class _Evaluator:
         if not algebras:
             raise ValueError("Consequence needs at least one algebra.")
         self.algebras = algebras
-        self.variables, self.symbols, self.shared = _scan(formulas)
+        self.variables, symbols, self.shared = _scan(formulas)
+        self._spans = iter(_spans(algebras, len(self.variables), symbols, MAX_GRID, _UNION_ELEMENTS))
         self._built: list[_Batch] = []
-        self._next = self._cut()
-
-    def _cut(self) -> Iterator[_Batch]:
-        algebras, k = self.algebras, len(self.variables)
-        fits = [self.symbols <= A.signature and A.size**k <= MAX_GRID for A in algebras]
-        start = 0
-        while start < len(algebras):
-            end, cells, elements = start + 1, algebras[start].size ** k, algebras[start].size
-            while fits[start] and end < len(algebras) and fits[end]:
-                cells += algebras[end].size ** k
-                elements += algebras[end].size
-                if cells > MAX_GRID or elements > _UNION_ELEMENTS:
-                    break
-                end += 1
-            yield _Batch(algebras[start:end], start, self.variables, self.shared)
-            start = end
 
     def batches(self) -> Iterator[_Batch]:
         yield from self._built
-        for batch in self._next:
-            self._built.append(batch)
-            yield batch
+        for start, end in self._spans:
+            self._built.append(_Batch(self.algebras[start:end], start, self.variables, self.shared))
+            yield self._built[-1]
 
     def consequence(self, premises: Sequence[Formula], conclusion: Formula) -> ConsequenceResult:
         for batch in self.batches():
-            mask = np.ones(sum(batch.counts), dtype=bool)
+            mask = None  # the cells where every premise so far is designated
             for p in premises:
-                mask &= batch.designated(p)
+                mask = batch.designated(p) if mask is None else mask & batch.designated(p)
                 if not mask.any():
                     break
-            if not mask.any():
-                continue
-            bad = mask & ~batch.designated(conclusion)
-            flat = int(bad.argmax())
-            if bad[flat]:
-                block = int(batch.starts.searchsorted(flat, side="right")) - 1
-                shape = (batch.algebras[block].size,) * len(self.variables)
-                cell = map(int, np.unravel_index(flat - batch.starts[block], shape))
-                countermodel = dict(zip(self.variables, cell))
-                return ConsequenceResult(False, batch.start + block, countermodel)
+            else:
+                held = batch.designated(conclusion)
+                bad = ~held if mask is None else mask > held  # mask and not held
+                flat = int(bad.argmax())
+                if bad[flat]:
+                    starts, algebras = batch.layout.starts, batch.layout.algebras
+                    block = bisect.bisect_right(starts, flat) - 1
+                    shape = (algebras[block].size,) * len(self.variables)
+                    cell = map(int, np.unravel_index(flat - starts[block], shape))
+                    return ConsequenceResult(False, batch.start + block, dict(zip(self.variables, cell)))
         return ConsequenceResult(True)
 
 
@@ -355,14 +386,6 @@ class InterpolationResult:
     algebra_index: int | None = None
     countermodel: dict[str, int] | None = None
     candidates_tried: int = 0
-
-    def describe(self) -> str:
-        if self.status == "found":
-            assert self.interpolant is not None
-            return f"found {render(self.interpolant)}"
-        if self.status == "exhausted":
-            return f"exhausted after {self.candidates_tried} candidates (not a refutation)"
-        return "refused: the entailment itself fails"
 
 
 def _atoms(shared: Sequence[str], signature: frozenset[str]) -> list[Formula]:

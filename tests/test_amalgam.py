@@ -12,6 +12,8 @@ from girale.amalgam import (
 from girale.construct import KClassQuery, build_R, member_K, restrict_embedding, split_R
 from girale.group import PrimeSet, group_homs, make_group
 
+from tests.test_expansion_oracle import _relabelled
+
 Z3 = make_group([3])
 Z5 = make_group([5])
 Z9 = make_group([9])
@@ -197,26 +199,37 @@ def test_span_catalog_small_sweep():
 
 def test_leg_group_hom_matches_restriction():
     """The group leg of a span leg is the restriction of the composite
-    canon(B) . phi . canon(A)^-1 between the rebuilt expansions."""
+    canon(B) . phi . canon(A)^-1 between the rebuilt expansions.  The spans
+    are copies of the catalog's with each algebra's elements in reverse
+    order, so the canons are not identities and the composite differs from
+    phi on some legs."""
     primes = PrimeSet.of(2)
     sig = frozenset()
     query = KClassQuery(primes, sig)
-    legs = 0
+
+    def reversed_copy(A):
+        return _relabelled(A, tuple(range(A.size - 1, -1, -1)))
+
+    legs = moved = 0
     for span in span_catalog(primes, sig, 5):
-        src = member_K(span.A, query)
+        A = reversed_copy(span.A)
+        src = member_K(A, query)
         if src.trivial:
             continue
         for phi, target in ((span.phi1, span.B), (span.phi2, span.C)):
-            tgt = member_K(target, query)
+            B = reversed_copy(target)
+            phi = AlgHom(A, B, tuple(B.size - 1 - phi.mapping[A.size - 1 - a] for a in range(A.size)))
+            tgt = member_K(B, query)
             inverse = {v: x for x, v in enumerate(src.canon.mapping)}
             composite = AlgHom(
                 src.canon.target,
                 tgt.canon.target,
-                tuple(tgt.canon.mapping[phi.mapping[inverse[i]]] for i in range(span.A.size)),
+                tuple(tgt.canon.mapping[phi.mapping[inverse[i]]] for i in range(A.size)),
             )
             assert restrict_embedding(phi) == restrict_embedding(composite)
             legs += 1
-    assert legs > 20
+            moved += composite.mapping != phi.mapping
+    assert legs > 20 and moved > 0
 
 
 def test_class_catalog_respects_sigma():

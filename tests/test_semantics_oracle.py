@@ -13,6 +13,7 @@ R(Z3) in the full signature: the same status, interpolant, certificate,
 candidate count and countermodel.
 """
 
+import contextlib
 import dataclasses
 import os
 import pickle
@@ -148,21 +149,79 @@ def test_premises_and_algebras_read_once():
 
 def test_each_subformula_evaluated_once(monkeypatch):
     """The three judgments of deduction_check share one evaluator: the
-    premises, phi, psi, !phi and every other subformula but a variable are
-    computed once, here over one batch of two algebras."""
-    computed = []
+    premises, phi, psi, !phi and every other subformula but an atom are
+    gathered once, here over one batch of two algebras.  x -> y is a left
+    and a right operand: gathered once, and N times its value is one
+    multiply of the kept value; so is N times !phi, the left side of !phi -> psi."""
+    computed, batches = [], []
     value = semantics._Batch.value
 
-    def counting(batch, f):
-        if not isinstance(f, Var) and f not in batch.memo:
-            computed.append(f)
-        return value(batch, f)
+    def counting(batch, f, scaled=False):
+        if not isinstance(f, (Var, Const)) and (f, scaled) not in batch.memo:
+            computed.append((f, scaled, f in batch.shared))
+            batches.append(batch)
+        return value(batch, f, scaled)
 
     monkeypatch.setattr(semantics._Batch, "value", counting)
     catalog = [build_R(make_group([2]), SIGNATURE_FULL), build_R(make_group([3]), SIGNATURE_FULL)]
-    premises = [parse("x -> y"), parse("(x -> y) * 0 \\/ 0")]
-    deduction_check(catalog, premises, parse("x /\\ (x -> y)"), parse("y \\/ (x -> y)"))
-    assert len(computed) == len(set(computed)) == 10
+    imp = parse("x -> y")
+    premises = [imp, parse("(x -> y) * 0 \\/ 0"), parse("(x -> y) -> (x -> y)")]
+    phi = parse("x /\\ (x -> y)")
+    deduction_check(catalog, premises, phi, parse("y \\/ (x -> y)"))
+    assert len(set(batches)) == 1 and len(computed) == len(set(computed))
+    gathered = [f for f, scaled, shared in computed if not (scaled and shared)]
+    assert len(gathered) == len(set(gathered)) == 10
+    multiplied = [f for f, scaled, shared in computed if scaled and shared]
+    assert multiplied == [imp, Bang(phi)]
+    memo, size = batches[0].memo, batches[0].layout.size
+    assert (memo[imp, True] == memo[imp, False] * size).all()
+
+
+def test_batches_follow_the_limits_in_force():
+    """The cached batch spans are keyed on MAX_GRID and the batch element
+    bound as well as on the catalog: R(Z1), R(Z2), R(Z3) of 3, 4 and 5
+    elements are one batch at the defaults, and one algebra each at (4, 8),
+    where the 5-cell grid of R(Z3) is over capacity.  A judgment first
+    refuted in R(Z2) keeps its countermodel; one first refuted in R(Z3)
+    raises there once the limits are lowered."""
+    catalog = [build_R(make_group([n]), SIGNATURE_FULL) for n in (1, 2, 3)]
+    middle, last = parse("x \\/ (x -> 0)"), parse("x * x * x -> x")
+
+    def run(*limit):
+        new_limits, ref_limit = limited(*limit)
+        with new_limits, ref_limit:
+            spans = []
+            with contextlib.suppress(CapacityError):
+                for batch in semantics._Evaluator(tuple(catalog), [middle]).batches():
+                    spans.append((batch.start, len(batch.layout.algebras)))
+            verdicts = [outcome(consequence, catalog, [], f) for f in (middle, last)]
+            assert verdicts == [outcome(ref.consequence, catalog, [], f) for f in (middle, last)]
+            return spans, verdicts
+
+    spans, (refuted, late) = run(semantics.MAX_GRID, semantics._UNION_ELEMENTS)
+    assert spans == [(0, 3)]
+    assert refuted == semantics.ConsequenceResult(False, 1, {"x": 1}) and late.algebra_index == 2
+    spans, verdicts = run(4, 8)
+    assert spans == [(0, 1), (1, 1)]
+    assert verdicts == [refuted, (CapacityError, "Assignment grid of size 5 exceeds 4.")]
+
+
+def test_caches_are_bounded_and_read_only():
+    """Every evaluator cache has a finite size, and no array that a cache or
+    a batch keeps can be written: the tables, grid rows and designated
+    elements, the constant columns and N-scaled forms made on first use, and
+    the kept values and designated cells of shared formulas."""
+    assert all(cache.cache_info().maxsize is not None for cache in (semantics._spans, semantics._layout))
+    catalog = (build_R(make_group([2]), SIGNATURE_FULL), build_R(make_group([3]), SIGNATURE_FULL))
+    premise, conclusion = parse("!(x -> bot) * top \\/ (x -> bot)"), parse("(x -> bot) -> 0 * y")
+    evaluator = semantics._Evaluator(catalog, [premise, premise, conclusion])  # premise shared
+    evaluator.consequence([premise], conclusion)
+    (batch,) = evaluator._built
+    assert {("bang", True), (0, True), ("0", True), ("bot", False), ("top", False)} <= set(batch.layout.arrays)
+    assert batch.memo and batch.held
+    for array in [*batch.layout.arrays.values(), *batch.memo.values(), *batch.held.values()]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def test_missing_guard_only_when_reached():
