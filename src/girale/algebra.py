@@ -100,11 +100,8 @@ class Violation:
     law: str
     witness: tuple[int, ...]
 
-    def describe(self, algebra: FiniteAlgebra | None = None) -> str:
-        if algebra is None:
-            args = ",".join(str(w) for w in self.witness)
-        else:
-            args = ",".join(algebra.name_of(w) for w in self.witness)
+    def describe(self) -> str:
+        args = ",".join(str(w) for w in self.witness)
         return f"{self.law}({args})"
 
 

@@ -39,6 +39,7 @@ from .group import PrimeSet, group_from_json, make_group
 from .proofs import (
     SYSTEMS,
     _refutation_catalog,
+    check_derivation,
     parse_sequent,
     proof_to_json,
     search_sequent,
@@ -375,8 +376,6 @@ def _cmd_check_proof(args, inputs: _Inputs):
     premises = [parse(t) for t in premise_texts]
     for text in args.premise or []:
         premises.append(parse(inputs.text("premise", text)))
-    from .proofs import check_derivation
-
     report = check_derivation(steps, SYSTEMS[system_name], premises)
     payload = {"valid": report.valid, "system": system_name}
     if not report.valid:

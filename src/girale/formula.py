@@ -21,7 +21,9 @@ bot/top; ``f^_|_`` is postfix negation.  Note that ``(x)`` always lexes as
 the fusion operator, so a parenthesized bare variable must be written with
 spaces: ``( x )``.
 
-Binding strength, tightest first: ``!``, ``*``, ``/\\``, ``\\/``, ``->``.
+Each notation's spelling is one ``_SYNTAX`` entry, which the lexer, the
+parser and ``render`` all read.  Binding strength is ``_LEVEL``, where a
+higher level binds tighter: ``!``, then ``*``, ``/\\``, ``\\/``, ``->``.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ TOP = Const("top")
 NOTATIONS = ("substructural", "girard")
 
 # Deepest nesting ``parse`` accepts, both of parentheses and of connectives
-# (``depth``).  It keeps the parser, which recurses only into parentheses, and
-# the recursive walkers (render, eval_formula, free_variables, depth, ...)
-# well inside the default recursion limit.
+# (``depth``).  It keeps the parser, which recurses only into parentheses and
+# across the binding levels, and the recursive walkers (render, eval_formula,
+# free_variables, depth, ...) well inside the default recursion limit.
 MAX_NESTING = 100
 
 _RESERVED_NAMES = frozenset({"bot", "top"})
@@ -119,48 +121,38 @@ class ParseError(Exception):
         self.position = position
 
 
-_SUBSTRUCTURAL_TOKENS = [
-    ("IMP", r"->"),
-    ("OR", r"\\/"),
-    ("AND", r"/\\"),
-    ("MUL", r"\*"),
-    ("BANG", r"!"),
-    ("NEG", r"~"),
-    ("LP", r"\("),
-    ("RP", r"\)"),
-    ("IDENT", r"[A-Za-z_][A-Za-z_0-9']*"),
-    ("NUM", r"[0-9]+"),
-]
-
-_GIRARD_TOKENS = [
-    ("PERP", r"\^_\|_"),
-    ("ZERO", r"_\|_"),
-    ("JOIN", r"\(\+\)"),
-    ("MUL", r"\(x\)"),
-    ("IMP", r"-o"),
-    ("AND", r"&"),
-    ("BANG", r"!"),
-    ("NEG", r"~"),
-    ("LP", r"\("),
-    ("RP", r"\)"),
-    ("BOTG", r"0g"),
-    ("IDENT", r"[A-Za-z_][A-Za-z_0-9']*"),
-    ("NUM", r"[0-9]+"),
-]
-
-
-def _lexer(spec: list[tuple[str, str]]) -> re.Pattern[str]:
-    return re.compile("|".join(f"(?P<{kind}>{pat})" for kind, pat in spec))
-
-
-_LEXERS = {
-    "substructural": _lexer(_SUBSTRUCTURAL_TOKENS),
-    "girard": _lexer(_GIRARD_TOKENS),
+# Each notation's spelling: its token patterns in match order (a spelling
+# that begins another comes after it, and names and numerals come last),
+# the connective that each binary operator token spells, and the constant that
+# each word spells.  ``!``, ``~`` and the parentheses are spelled alike in both;
+# girard's postfix negation is its token ``^_|_``.
+_SYNTAX = {
+    "substructural": (
+        ("->", "\\/", "/\\", "*", "!", "~", "(", ")"),
+        {"->": "imp", "\\/": "or", "/\\": "and", "*": "mul"},
+        {"1": ONE, "0": ZERO, "bot": BOT, "top": TOP},
+    ),
+    "girard": (
+        ("^_|_", "_|_", "(+)", "(x)", "-o", "&", "!", "~", "(", ")", "0g"),
+        {"-o": "imp", "(+)": "or", "&": "and", "(x)": "mul"},
+        {"1": ONE, "_|_": ZERO, "0g": BOT, "top": TOP},
+    ),
 }
+_LEXERS = {
+    notation: re.compile("|".join(map(re.escape, patterns)) + r"|[A-Za-z_][A-Za-z_0-9']*|[0-9]+")
+    for notation, (patterns, _, _) in _SYNTAX.items()
+}
+# the spelling of each connective and constant, for render
+_SPELLING = {
+    notation: {meaning: spelling for spelling, meaning in (*ops.items(), *words.items())}
+    for notation, (_, ops, words) in _SYNTAX.items()
+}
+# binding strength of the binary connectives, loosest first; ``!`` binds at 4
+_LEVEL = {"imp": 0, "or": 1, "and": 2, "mul": 3}
 
 
-def _tokenize(text: str, notation: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, position) of each token, then an EOF token."""
+def _tokenize(text: str, notation: str) -> list[tuple[str, int]]:
+    """The text and position of each token, then ``("", len(text))``."""
     lexer, tokens, pos, n = _LEXERS[notation], [], 0, len(text)
     while pos < n:
         if text[pos].isspace():
@@ -171,9 +163,9 @@ def _tokenize(text: str, notation: str) -> list[tuple[str, str, int]]:
             raise ParseError(
                 f"Unknown symbol {text[pos]!r} for the {notation} notation", pos
             )
-        tokens.append((m.lastgroup, m.group(), pos))
+        tokens.append((m.group(), pos))
         pos = m.end()
-    tokens.append(("EOF", "", n))
+    tokens.append(("", n))
     return tokens
 
 
@@ -182,115 +174,73 @@ def _check_notation(notation: str) -> None:
         raise ValueError(f"Unknown notation {notation!r}; expected one of {NOTATIONS}.")
 
 
-class _Parser:
-    def __init__(self, text: str, notation: str) -> None:
-        self.notation = notation
-        self.tokens = _tokenize(text, notation)
-        self.index = 0
-        self.parens = 0
-
-    def peek(self) -> str:  # the next token's kind
-        return self.tokens[self.index][0]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> None:
-        found, text, pos = self.advance()
-        if found != kind:
-            raise ParseError(f"Expected {kind}, found {text!r}", pos)
-
-    def parse_form(self) -> Formula:
-        operands = [self.parse_or()]
-        while self.peek() == "IMP":
-            self.advance()
-            operands.append(self.parse_or())
-        node = operands.pop()
-        while operands:
-            node = BinOp("imp", operands.pop(), node)
-        return node
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek() in ("OR", "JOIN"):
-            self.advance()
-            node = BinOp("or", node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
-        node = self.parse_mul()
-        while self.peek() == "AND":
-            self.advance()
-            node = BinOp("and", node, self.parse_mul())
-        return node
-
-    def parse_mul(self) -> Formula:
-        node = self.parse_unary()
-        while self.peek() == "MUL":
-            self.advance()
-            node = BinOp("mul", node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Formula:
-        if self.peek() not in ("BANG", "NEG"):
-            return self.parse_postfix()
-        prefixes = []
-        while self.peek() in ("BANG", "NEG"):
-            prefixes.append(self.advance()[0])
-        node = self.parse_postfix()
-        for kind in reversed(prefixes):
-            node = Bang(node) if kind == "BANG" else negation(node)
-        return node
-
-    def parse_postfix(self) -> Formula:
-        node = self.parse_atom()
-        while self.peek() == "PERP":
-            self.advance()
-            node = negation(node)
-        return node
-
-    def parse_atom(self) -> Formula:
-        kind, text, pos = self.advance()
-        if kind == "LP":
-            self.parens += 1
-            if self.parens > MAX_NESTING:
-                raise ParseError(f"Parentheses nest deeper than {MAX_NESTING}", pos)
-            node = self.parse_form()
-            self.expect("RP")
-            self.parens -= 1
-            return node
-        if kind == "NUM":  # girard's 0 is spelled _|_
-            if text == "1" or text == "0" and self.notation == "substructural":
-                return ONE if text == "1" else ZERO
-            raise ParseError(f"Unknown symbol {text!r} for the {self.notation} notation", pos)
-        if kind == "ZERO":
-            return ZERO
-        if kind == "BOTG":
-            return BOT
-        if kind == "IDENT":  # girard's bot is spelled 0g
-            if text == "top" or text == "bot" and self.notation == "substructural":
-                return TOP if text == "top" else BOT
-            if text in _RESERVED_NAMES:
-                raise ParseError(f"Reserved word {text!r}", pos)
-            return Var(text)
-        raise ParseError(f"Unexpected token {text!r}", pos)
-
-
 def parse(text: str, notation: str = "substructural") -> Formula:
     """Parse a formula in the given notation; raises ParseError on bad input."""
     _check_notation(notation)
     if not text.strip():
         raise ParseError("Empty formula", 0)
-    parser = _Parser(text, notation)
-    node = parser.parse_form()
-    kind, text, pos = parser.advance()
-    if kind != "EOF":
-        raise ParseError(f"Trailing input {text!r}", pos)
+    _, ops, words = _SYNTAX[notation]
+    tokens = _tokenize(text, notation)
+    at = parens = 0  # the next token's index; the open parentheses
+
+    def climb(level: int) -> Formula:
+        """The formula at the next token whose connectives bind at ``level``
+        or tighter: an operand, then operators while they bind that tight.
+        A chain of one connective is a loop, not a recursion per operator."""
+        nonlocal at, parens
+        start = at
+        while tokens[at][0] in ("!", "~"):
+            at += 1
+        prefixes = tokens[start:at] if at > start else ()  # most operands have none
+        word, pos = tokens[at]
+        at += 1
+        if word == "(":
+            parens += 1
+            if parens > MAX_NESTING:
+                raise ParseError(f"Parentheses nest deeper than {MAX_NESTING}", pos)
+            node = climb(0)
+            word, pos = tokens[at]
+            at += 1
+            if word != ")":
+                raise ParseError(f"Expected RP, found {word!r}", pos)
+            parens -= 1
+        elif word in words:
+            node = words[word]
+        elif word[:1].isidentifier():  # a name
+            if word in _RESERVED_NAMES:
+                raise ParseError(f"Reserved word {word!r}", pos)
+            node = Var(word)
+        elif word[:1].isdigit():  # a numeral that spells no constant here
+            raise ParseError(f"Unknown symbol {word!r} for the {notation} notation", pos)
+        else:
+            raise ParseError(f"Unexpected token {word!r}", pos)
+        while tokens[at][0] == "^_|_":
+            at += 1
+            node = negation(node)
+        for prefix, _ in reversed(prefixes):
+            node = Bang(node) if prefix == "!" else negation(node)
+        imps = []  # the left operands of ``->``, folded to the right below
+        while (op := ops.get(tokens[at][0])) is not None and _LEVEL[op] >= level:
+            at += 1
+            if op == "imp":
+                imps.append(node)
+                node = climb(1)
+            else:
+                node = BinOp(op, node, climb(_LEVEL[op] + 1))
+        while imps:
+            node = BinOp("imp", imps.pop(), node)
+        return node
+
+    try:
+        node = climb(0)
+    finally:
+        del climb  # else climb's cell keeps it in a cycle, garbage for the collector
+    word, pos = tokens[at]
+    if word:
+        raise ParseError(f"Trailing input {word!r}", pos)
     # each token adds at most one level, so only long inputs need the walk,
     # which is iterative because the tree may be deeper than the recursion limit
-    stack = [(node, 0)] if len(parser.tokens) > MAX_NESTING else []
+    stack = [(node, 0)] if len(tokens) > MAX_NESTING else []
     while stack:
         sub, level = stack.pop()
         if level > MAX_NESTING:
@@ -302,46 +252,25 @@ def parse(text: str, notation: str = "substructural") -> Formula:
     return node
 
 
-_SUB_SURFACE = {"and": " /\\ ", "or": " \\/ ", "mul": " * ", "imp": " -> "}
-_GIR_SURFACE = {"and": " & ", "or": " (+) ", "mul": " (x) ", "imp": " -o "}
-_SUB_CONSTS = {"1": "1", "0": "0", "bot": "bot", "top": "top"}
-_GIR_CONSTS = {"1": "1", "0": "_|_", "bot": "0g", "top": "top"}
-
-_LEVEL = {"imp": 0, "or": 1, "and": 2, "mul": 3}
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, BinOp):
-        return _LEVEL[f.op]
-    if isinstance(f, Bang):
-        return 4
-    return 5
-
-
 def render(f: Formula, notation: str = "substructural") -> str:
     """Render so that parse(render(f, n), n) returns f, with minimal parens."""
     _check_notation(notation)
-    surface = _SUB_SURFACE if notation == "substructural" else _GIR_SURFACE
-    consts = _SUB_CONSTS if notation == "substructural" else _GIR_CONSTS
+    return _render(f, 0, _SPELLING[notation])
 
-    def go(node: Formula, min_level: int) -> str:
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Const):
-            return consts[node.symbol]
-        if isinstance(node, Bang):
-            text = "!" + go(node.child, 4)
-        else:
-            level = _LEVEL[node.op]
-            if node.op == "imp":
-                text = go(node.left, 1) + surface["imp"] + go(node.right, 0)
-            else:
-                text = go(node.left, level) + surface[node.op] + go(node.right, level + 1)
-        if _level(node) < min_level:
-            return "( " + text + " )"
-        return text
 
-    return go(f, 0)
+def _render(node: Formula, min_level: int, spelling: dict) -> str:
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Const):
+        return spelling[node]
+    if isinstance(node, Bang):
+        level, text = 4, "!" + _render(node.child, 4, spelling)
+    else:  # ``->`` nests to the right, the others to the left
+        level = _LEVEL[node.op]
+        left, right = (level + 1, level) if node.op == "imp" else (level, level + 1)
+        text = _render(node.left, left, spelling) + f" {spelling[node.op]} "
+        text += _render(node.right, right, spelling)
+    return "( " + text + " )" if level < min_level else text
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:

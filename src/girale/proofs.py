@@ -33,7 +33,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib.resources import files
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import OPTIONAL_SYMBOLS
 from .formula import (
@@ -407,14 +407,8 @@ class _Calculus:
             if type(f) is BinOp:
                 self.op[i], self.left[i], self.right[i] = f.op, code[f.left], code[f.right]
         self.one, self.zero = code.get(ONE, -1), code.get(ZERO, -1)
-
-    def count_test(self) -> Callable[[Goal], bool]:
-        """The balance test: whether, for every atom, 0 lies in the goal's
-        interval of counts.  Read on the right, an atom counts +1, ``*`` adds
-        its sides, ``a -> b`` is ``b`` minus ``a``, ``/\\`` and ``\\/`` take
-        the hull of their sides and constants count 0; the antecedent counts
-        negated.  A code's row is its lows, then its negated highs, so the
-        test is that no column of a goal's rows sums above 0."""
+        # the count rows: per atom, a code's interval of counts read on the
+        # right is its lows, then its negated highs; on the left the halves swap
         atoms = sum(type(f) is Var for f in self.formulas)  # variables sort first
         on_right: list = [None] * len(self.formulas)
 
@@ -431,16 +425,20 @@ class _Calculus:
                     on_right[c] = tuple(map(min if kind in ("and", "or") else int.__add__, a, b))
             return on_right[c]
 
-        on_left = [row[atoms:] + row[:atoms] for row in map(fill, range(len(on_right)))]
+        self.on_left = [row[atoms:] + row[:atoms] for row in map(fill, range(len(on_right)))]
+        self.on_right = on_right
 
-        def balanced(goal: Goal) -> bool:
-            ant, succ = goal
-            rows = [on_left[f] for f in ant]
-            if succ is not None:
-                rows.append(on_right[succ])
-            return max(map(sum, zip(*rows)), default=0) <= 0
-
-        return balanced
+    def balanced(self, goal: Goal) -> bool:
+        """The count test: whether, for every atom, 0 lies in the goal's
+        interval of counts.  Read on the right, an atom counts +1, ``*`` adds
+        its sides, ``a -> b`` is ``b`` minus ``a``, ``/\\`` and ``\\/`` take
+        the hull of their sides and constants count 0; the antecedent counts
+        negated.  So no column of a goal's rows may sum above 0."""
+        ant, succ = goal
+        rows = list(map(self.on_left.__getitem__, ant))
+        if succ is not None:
+            rows.append(self.on_right[succ])
+        return max(map(sum, zip(*rows)), default=0) <= 0
 
     def encode(self, seq: Sequent) -> Goal | None:
         """The coded goal, or None if it holds a formula outside the root's."""
@@ -529,7 +527,7 @@ def search_sequent(
     depth; one that is not (unknown) has a cut-free proof deeper than the bound.
 
     The search skips two kinds of goal, memoised as failed at every budget.
-    A goal that fails the count test (``count_test``) has no proof: each
+    A goal that fails the count test (``_Calculus.balanced``) has no proof: each
     axiom's interval holds 0, and each rule's holds that of each premise or,
     for the splits ``*r`` and ``->l``, their sum.  Nor has a goal one of whose
     invertible rules has a premise that fails at every budget: a proof of the
@@ -543,22 +541,20 @@ def search_sequent(
     formulas = calculus.formulas  # bangs sort last
     if BOT in calculus.code or TOP in calculus.code or formulas and type(formulas[-1]) is Bang:
         _check_fragment(seq)  # names the first formula's symbols outside the fragment
-    balanced = calculus.count_test()
-    proof, exhaustive = _search(calculus, seq, bound, balanced)
+    proof, exhaustive = _search(calculus, seq, bound)
     if proof is not None or exhaustive:
         return proof, exhaustive
     height = sum(formula_size(f) for f in (*seq.antecedent, seq.succedent) if f is not None) + 1
-    return None, _search(calculus, seq, height, balanced)[0] is None
+    return None, _search(calculus, seq, height)[0] is None
 
 
-def _search(
-    calculus: _Calculus, seq: Sequent, bound: int, balanced: Callable[[Goal], bool]
-) -> tuple[SequentProof | None, bool]:
+def _search(calculus: _Calculus, seq: Sequent, bound: int) -> tuple[SequentProof | None, bool]:
     """The memoised search of ``search_sequent``, pruned by the count test
-    ``balanced`` and by commits on invertible rules: the first proof within the
-    bound or None, and whether no branch was cut off, which makes a failure
-    exhaustive: no cut-free proof at any depth.  At the height bound none is."""
-    instances, formulas = calculus.instances, calculus.formulas
+    ``calculus.balanced`` and by commits on invertible rules: the first proof
+    within the bound or None, and whether no branch was cut off, which makes a
+    failure exhaustive: no cut-free proof at any depth.  At the height bound
+    none is."""
+    instances, formulas, balanced = calculus.instances, calculus.formulas, calculus.balanced
     # a goal's proof and its depth, or None and the budget it failed at
     memo: dict[Goal, tuple[SequentProof | None, float]] = {}
     cuts = 0  # cut-offs below the failures still open on the call stack

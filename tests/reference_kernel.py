@@ -34,11 +34,15 @@ search before its candidates became one stream: one loop each for atoms,
 products and guards, each with its own cap and depth check, and a fresh
 such call for every judgment (its value vectors still come from girale's
 evaluator).
+The formula syntax section keeps the parser with a token list per notation,
+one method per binding level and the notation's cases inside them, and
+``render`` with its own operator and constant spellings per notation.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,7 +61,24 @@ from girale.algebra import (
     _canonical,
 )
 from girale.capacity import CapacityError, guard
-from girale.formula import CONSTS, ONE, OPS, ZERO, Bang, BinOp, Const, Formula, Var, free_variables
+from girale.formula import (
+    BOT,
+    CONSTS,
+    MAX_NESTING,
+    NOTATIONS,
+    ONE,
+    OPS,
+    TOP,
+    ZERO,
+    Bang,
+    BinOp,
+    Const,
+    Formula,
+    ParseError,
+    Var,
+    free_variables,
+    negation,
+)
 from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization, group_from_table
 from girale.proofs import Sequent, SequentProof, _check_fragment
 from girale.formula import depth as formula_depth, size as formula_size
@@ -1404,3 +1425,217 @@ def interpolant_search(
                     return hit
 
     return InterpolationResult(status="exhausted", mode=mode, candidates_tried=tried)
+
+
+# --- formula syntax: the descent parser with one method per binding level ---
+
+
+_SUBSTRUCTURAL_TOKENS = [
+    ("IMP", r"->"),
+    ("OR", r"\\/"),
+    ("AND", r"/\\"),
+    ("MUL", r"\*"),
+    ("BANG", r"!"),
+    ("NEG", r"~"),
+    ("LP", r"\("),
+    ("RP", r"\)"),
+    ("IDENT", r"[A-Za-z_][A-Za-z_0-9']*"),
+    ("NUM", r"[0-9]+"),
+]
+
+_GIRARD_TOKENS = [
+    ("PERP", r"\^_\|_"),
+    ("ZERO", r"_\|_"),
+    ("JOIN", r"\(\+\)"),
+    ("MUL", r"\(x\)"),
+    ("IMP", r"-o"),
+    ("AND", r"&"),
+    ("BANG", r"!"),
+    ("NEG", r"~"),
+    ("LP", r"\("),
+    ("RP", r"\)"),
+    ("BOTG", r"0g"),
+    ("IDENT", r"[A-Za-z_][A-Za-z_0-9']*"),
+    ("NUM", r"[0-9]+"),
+]
+
+_LEXERS = {
+    notation: re.compile("|".join(f"(?P<{kind}>{pat})" for kind, pat in spec))
+    for notation, spec in (("substructural", _SUBSTRUCTURAL_TOKENS), ("girard", _GIRARD_TOKENS))
+}
+
+
+def _tokenize(text: str, notation: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) of each token, then an EOF token."""
+    lexer, tokens, pos, n = _LEXERS[notation], [], 0, len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = lexer.match(text, pos)
+        if m is None:
+            raise ParseError(f"Unknown symbol {text[pos]!r} for the {notation} notation", pos)
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("EOF", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, notation: str) -> None:
+        self.notation = notation
+        self.tokens = _tokenize(text, notation)
+        self.index = 0
+        self.parens = 0
+
+    def peek(self) -> str:  # the next token's kind
+        return self.tokens[self.index][0]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect(self, kind: str) -> None:
+        found, text, pos = self.advance()
+        if found != kind:
+            raise ParseError(f"Expected {kind}, found {text!r}", pos)
+
+    def parse_form(self) -> Formula:
+        operands = [self.parse_or()]
+        while self.peek() == "IMP":
+            self.advance()
+            operands.append(self.parse_or())
+        node = operands.pop()
+        while operands:
+            node = BinOp("imp", operands.pop(), node)
+        return node
+
+    def parse_or(self) -> Formula:
+        node = self.parse_and()
+        while self.peek() in ("OR", "JOIN"):
+            self.advance()
+            node = BinOp("or", node, self.parse_and())
+        return node
+
+    def parse_and(self) -> Formula:
+        node = self.parse_mul()
+        while self.peek() == "AND":
+            self.advance()
+            node = BinOp("and", node, self.parse_mul())
+        return node
+
+    def parse_mul(self) -> Formula:
+        node = self.parse_unary()
+        while self.peek() == "MUL":
+            self.advance()
+            node = BinOp("mul", node, self.parse_unary())
+        return node
+
+    def parse_unary(self) -> Formula:
+        if self.peek() not in ("BANG", "NEG"):
+            return self.parse_postfix()
+        prefixes = []
+        while self.peek() in ("BANG", "NEG"):
+            prefixes.append(self.advance()[0])
+        node = self.parse_postfix()
+        for kind in reversed(prefixes):
+            node = Bang(node) if kind == "BANG" else negation(node)
+        return node
+
+    def parse_postfix(self) -> Formula:
+        node = self.parse_atom()
+        while self.peek() == "PERP":
+            self.advance()
+            node = negation(node)
+        return node
+
+    def parse_atom(self) -> Formula:
+        kind, text, pos = self.advance()
+        if kind == "LP":
+            self.parens += 1
+            if self.parens > MAX_NESTING:
+                raise ParseError(f"Parentheses nest deeper than {MAX_NESTING}", pos)
+            node = self.parse_form()
+            self.expect("RP")
+            self.parens -= 1
+            return node
+        if kind == "NUM":  # girard's 0 is spelled _|_
+            if text == "1" or text == "0" and self.notation == "substructural":
+                return ONE if text == "1" else ZERO
+            raise ParseError(f"Unknown symbol {text!r} for the {self.notation} notation", pos)
+        if kind == "ZERO":
+            return ZERO
+        if kind == "BOTG":
+            return BOT
+        if kind == "IDENT":  # girard's bot is spelled 0g
+            if text == "top" or text == "bot" and self.notation == "substructural":
+                return TOP if text == "top" else BOT
+            if text in ("bot", "top"):
+                raise ParseError(f"Reserved word {text!r}", pos)
+            return Var(text)
+        raise ParseError(f"Unexpected token {text!r}", pos)
+
+
+def parse(text: str, notation: str = "substructural") -> Formula:
+    """The formula, or the ParseError, that ``girale.formula.parse`` must give."""
+    if notation not in NOTATIONS:
+        raise ValueError(f"Unknown notation {notation!r}; expected one of {NOTATIONS}.")
+    if not text.strip():
+        raise ParseError("Empty formula", 0)
+    parser = _Parser(text, notation)
+    node = parser.parse_form()
+    kind, text, pos = parser.advance()
+    if kind != "EOF":
+        raise ParseError(f"Trailing input {text!r}", pos)
+    stack = [(node, 0)] if len(parser.tokens) > MAX_NESTING else []
+    while stack:
+        sub, level = stack.pop()
+        if level > MAX_NESTING:
+            raise ParseError(f"Connectives nest deeper than {MAX_NESTING}", 0)
+        if isinstance(sub, Bang):
+            stack.append((sub.child, level + 1))
+        elif isinstance(sub, BinOp):
+            stack.extend(((sub.left, level + 1), (sub.right, level + 1)))
+    return node
+
+
+_SUB_SURFACE = {"and": " /\\ ", "or": " \\/ ", "mul": " * ", "imp": " -> "}
+_GIR_SURFACE = {"and": " & ", "or": " (+) ", "mul": " (x) ", "imp": " -o "}
+_SUB_CONSTS = {"1": "1", "0": "0", "bot": "bot", "top": "top"}
+_GIR_CONSTS = {"1": "1", "0": "_|_", "bot": "0g", "top": "top"}
+
+_RENDER_LEVEL = {"imp": 0, "or": 1, "and": 2, "mul": 3}
+
+
+def _render_level(f: Formula) -> int:
+    if isinstance(f, BinOp):
+        return _RENDER_LEVEL[f.op]
+    if isinstance(f, Bang):
+        return 4
+    return 5
+
+
+def render(f: Formula, notation: str = "substructural") -> str:
+    """The text that ``girale.formula.render`` must give."""
+    surface = _SUB_SURFACE if notation == "substructural" else _GIR_SURFACE
+    consts = _SUB_CONSTS if notation == "substructural" else _GIR_CONSTS
+
+    def go(node: Formula, min_level: int) -> str:
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, Const):
+            return consts[node.symbol]
+        if isinstance(node, Bang):
+            text = "!" + go(node.child, 4)
+        else:
+            level = _RENDER_LEVEL[node.op]
+            if node.op == "imp":
+                text = go(node.left, 1) + surface["imp"] + go(node.right, 0)
+            else:
+                text = go(node.left, level) + surface[node.op] + go(node.right, level + 1)
+        if _render_level(node) < min_level:
+            return "( " + text + " )"
+        return text
+
+    return go(f, 0)

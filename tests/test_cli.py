@@ -225,6 +225,23 @@ def test_prove_output_pinned(capsys, name):
     assert out == (Path(__file__).parent / "data" / f"{name}.json").read_text()
 
 
+# name -> argv: one formula per notation that uses every token of that notation
+PARSE_PINNED = {
+    "parse-substructural": ["!(x * ~y') /\\ (bot \\/ top) -> 1 \\/ 0 * z2"],
+    "parse-girard": [
+        "!( x ) (x) ~y' & (0g (+) top) -o 1 (+) _|_ (x) z2^_|_", "--notation", "girard"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_PINNED))
+def test_parse_output_pinned(capsys, name):
+    """Byte-identical --json for the tree and both renderings."""
+    code, out = invoke(capsys, ["parse", *PARSE_PINNED[name], "--json"])
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / f"{name}.json").read_text()
+
+
 @pytest.mark.parametrize(
     "algebra, tag",
     [("broken_signature", "auto"), ("broken_girale", "girale")],

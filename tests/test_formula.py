@@ -106,6 +106,16 @@ PARSE_ERRORS = [  # notation, text, message, position
     ("girard", "( " * 101 + "x" + " )" * 101, "Parentheses nest deeper than 100", 200),
     ("girard", "~" * 101 + "x", "Connectives nest deeper than 100", 0),
     ("girard", " -o ".join(["x"] * 102), "Connectives nest deeper than 100", 0),
+    # 5000-token chains: the depth bound refuses them, and no parser recursion does
+    ("substructural", "x" + " -> x" * 2500, "Connectives nest deeper than 100", 0),
+    ("substructural", "x" + " * x" * 2500, "Connectives nest deeper than 100", 0),
+    ("substructural", "x" + " \\/ x" * 2500, "Connectives nest deeper than 100", 0),
+    ("substructural", "x" + " /\\ x" * 2500, "Connectives nest deeper than 100", 0),
+    ("substructural", "!" * 5000 + "x", "Connectives nest deeper than 100", 0),
+    ("substructural", "~" * 5000 + "x", "Connectives nest deeper than 100", 0),
+    ("girard", "x" + " -o x" * 2500, "Connectives nest deeper than 100", 0),
+    ("girard", "x" + " (x) x" * 2500, "Connectives nest deeper than 100", 0),
+    ("girard", "x" + "^_|_" * 5000, "Connectives nest deeper than 100", 0),
 ]
 
 
@@ -115,6 +125,33 @@ def test_parse_errors_carry_position():
             parse(text, notation)
         assert str(err.value) == f"{message} (at position {position})", text
         assert err.value.position == position
+
+
+# every token of each notation, some run together, and junk for the lexer and the parser
+SYNTAX_TOKENS = {
+    "substructural": "-> \\/ /\\ * ! ~ ( ) x y' _1 1 0 bot top".split(),
+    "girard": "^_|_ _|_ (+) (x) -o & ! ~ ( ) 0g x y' 1 top bot".split(),
+}
+JUNK = ["$", "^", "-", ">", "2", "0gx", " "]
+
+
+def parse_outcome(parse_with, render_with, text, notation):
+    """The tree and both renderings, or the error message and position."""
+    try:
+        f = parse_with(text, notation)
+    except ParseError as err:
+        return str(err), err.position
+    return f, render_with(f, "substructural"), render_with(f, "girard")
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(NOTATIONS), st.data())
+def test_parse_matches_the_descent_parser(notation, data):
+    words = data.draw(st.lists(st.sampled_from(SYNTAX_TOKENS[notation] + JUNK), max_size=14))
+    text = "".join(words)
+    assert parse_outcome(parse, render, text, notation) == parse_outcome(
+        ref.parse, ref.render, text, notation
+    ), text
 
 
 def test_substitute_examples():

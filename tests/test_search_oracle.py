@@ -168,7 +168,7 @@ def test_repeated_antecedent_formulas_match_the_reference(text, with_exchange):
 
 def _balanced(seq: Sequent, with_exchange: bool) -> bool:
     calculus = _Calculus(seq, with_exchange)
-    return calculus.count_test()(calculus.encode(seq))
+    return calculus.balanced(calculus.encode(seq))
 
 
 @ORACLE
@@ -234,7 +234,7 @@ DECIDED_AT_THE_HEIGHT_BOUND = [
 def test_failures_the_pruned_search_cuts_off_stay_exhaustive(text, with_exchange):
     seq = parse_sequent(text)
     calculus = _Calculus(seq, with_exchange)
-    assert _search(calculus, seq, 6, calculus.count_test()) == (None, False)
+    assert _search(calculus, seq, 6) == (None, False)
     assert search_sequent(seq, 6, with_exchange) == (None, True)
 
 
@@ -272,4 +272,4 @@ def test_only_cut_off_failures_are_searched_again(monkeypatch, text, with_exchan
     searches = _count_searches(monkeypatch)
     assert search_sequent(parse_sequent(text), 6, with_exchange) == (None, True)
     assert len(searches) == 2
-    assert searches[0][3] is searches[1][3]  # one count test for both
+    assert searches[0][0] is searches[1][0]  # one calculus, so one set of count rows, for both
