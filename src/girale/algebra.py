@@ -630,6 +630,7 @@ def _search_homs(
                 search(child, [x])
 
     search(seed, sorted({a for _, a, _ in ops.constants}))
+    del search  # else its own cell keeps it, and close, in a cycle for the collector
     return results
 
 

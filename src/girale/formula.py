@@ -5,6 +5,11 @@ and four binary connectives.  Negation is not a node: ``~f`` (and the
 postfix dualizer of the girard notation) is expanded to ``f -> 0`` while
 parsing, so downstream consumers handle a single connective set.
 
+There is one node per structure: a constructor returns the live node of its
+class and fields if there is one, found in a table keyed on them, children
+by identity.  So ``==`` is identity and the hash is ``object``'s.  The table
+holds its nodes weakly, and a node that is no longer used leaves it.
+
 Grammar, substructural notation (ASCII)::
 
     form := imp
@@ -29,62 +34,100 @@ higher level binds tighter: ``!``, then ``*``, ``/\\``, ``\\/``, ``->``.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
 
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the table key of the node referred to
+
+
+# the one live node of each structure, by its key: the class, then the fields
+_TABLE: dict[tuple, _Ref] = {}
+_NO_REF = type(None)  # the reference of a key with no entry: called, it gives None
+_new, _set = object.__new__, object.__setattr__  # _set writes past the frozen __setattr__
+
+
+def _forget(ref: _Ref, table: dict = _TABLE) -> None:
+    """Drop a dead node's entry unless a newer node took its key; ``table`` is
+    bound here because callbacks still run while the module is torn down."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _enter(key: tuple) -> Formula:
+    """A new node of class ``key[0]`` under ``key``, for its constructor to fill."""
+    node = _new(key[0])
+    ref = _TABLE[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
 class _Node:
-    """Slots for the hash and structural key, filled on first use.  The hash
-    is the dataclass one, built from the children's cached hashes.  Slots are
-    not fields, so ``==`` and ``repr`` ignore them, and pickling drops them:
-    string hashes vary with ``PYTHONHASHSEED`` between processes."""
+    """Slots for the structural key, filled on first use, and the weak
+    reference; pickling and deepcopy go through the constructor."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_key", "__weakref__")
 
-    def __getstate__(self) -> dict:
-        return self.__dict__
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
 
-def _cached_hash(node: _Node) -> int:
-    try:
-        return node._hash  # type: ignore[attr-defined]
-    except AttributeError:
-        object.__setattr__(node, "_hash", hash(tuple(node.__dict__.values())))  # the fields
-        return node._hash  # type: ignore[attr-defined]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(_Node):
+    __slots__ = ("name",)
     name: str
-    __hash__ = _cached_hash
+
+    def __new__(cls, name: str) -> Var:
+        node = _TABLE.get(key := (cls, name), _NO_REF)()
+        if node is None:
+            _set(node := _enter(key), "name", name)
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Const(_Node):
+    __slots__ = ("symbol",)
     symbol: str  # one of CONSTS
-    __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        if self.symbol not in CONSTS:
-            raise ValueError(f"Unknown constant {self.symbol!r}.")
+    def __new__(cls, symbol: str) -> Const:
+        node = _TABLE.get(key := (cls, symbol), _NO_REF)()
+        if node is None:  # a valid symbol misses only while the module loads
+            if symbol not in CONSTS:
+                raise ValueError(f"Unknown constant {symbol!r}.")
+            _set(node := _enter(key), "symbol", symbol)
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Bang(_Node):
-    child: "Formula"
-    __hash__ = _cached_hash
+    __slots__ = ("child",)
+    child: Formula
+
+    def __new__(cls, child: Formula) -> Bang:
+        node = _TABLE.get(key := (cls, child), _NO_REF)()
+        if node is None:
+            _set(node := _enter(key), "child", child)
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
     op: str  # one of OPS
-    left: "Formula"
-    right: "Formula"
-    __hash__ = _cached_hash
+    left: Formula
+    right: Formula
 
-    def __post_init__(self) -> None:
-        if self.op not in OPS:
-            raise ValueError(f"Unknown connective {self.op!r}.")
+    def __new__(cls, op: str, left: Formula, right: Formula) -> BinOp:
+        node = _TABLE.get(key := (cls, op, left, right), _NO_REF)()
+        if node is None:  # only a valid connective has an entry
+            if op not in OPS:
+                raise ValueError(f"Unknown connective {op!r}.")
+            _set(node := _enter(key), "op", op)
+            _set(node, "left", left)
+            _set(node, "right", right)
+        return node
 
 
 Formula = Var | Const | Bang | BinOp
@@ -327,7 +370,7 @@ def structural_key(f: Formula):
         key = (2, OPS.index(f.op), structural_key(f.left), structural_key(f.right))
     else:
         key = (3, structural_key(f.child))
-    object.__setattr__(f, "_key", key)
+    _set(f, "_key", key)
     return key
 
 
@@ -349,11 +392,7 @@ def formula_to_dict(f: Formula) -> dict:
         return {"const": f.symbol}
     if isinstance(f, Bang):
         return {"bang": formula_to_dict(f.child)}
-    return {
-        "op": f.op,
-        "left": formula_to_dict(f.left),
-        "right": formula_to_dict(f.right),
-    }
+    return {"op": f.op, "left": formula_to_dict(f.left), "right": formula_to_dict(f.right)}
 
 
 def formula_from_dict(data: dict) -> Formula:

@@ -120,12 +120,9 @@ class HilbertSystem:
                 )
 
     def scheme(self, name: str) -> Formula | None:
-        if name in SCHEMES and name in self.axioms:
+        if name in self.axioms:  # each of them is one of SCHEMES
             return SCHEMES[name]
-        for extra_name, extra in self.extra_axioms:
-            if extra_name == name:
-                return extra
-        return None
+        return next((extra for extra_name, extra in self.extra_axioms if extra_name == name), None)
 
 
 def _optional_symbols(f: Formula) -> frozenset[str]:
@@ -153,25 +150,22 @@ SYSTEMS: dict[str, HilbertSystem] = {
 def match_axiom(f: Formula, scheme: Formula) -> dict[str, Formula] | None:
     """One-sided match: a substitution for the scheme's variables hitting f."""
     bindings: dict[str, Formula] = {}
+    return bindings if _match(scheme, f, bindings) else None
 
-    def go(pattern: Formula, target: Formula) -> bool:
-        if isinstance(pattern, Var):
-            if pattern.name in bindings:
-                return bindings[pattern.name] == target
-            bindings[pattern.name] = target
-            return True
-        if isinstance(pattern, Const):
-            return pattern == target
-        if isinstance(pattern, Bang):
-            return isinstance(target, Bang) and go(pattern.child, target.child)
-        return (
-            isinstance(target, BinOp)
-            and target.op == pattern.op
-            and go(pattern.left, target.left)
-            and go(pattern.right, target.right)
-        )
 
-    return bindings if go(scheme, f) else None
+def _match(pattern: Formula, target: Formula, bindings: dict[str, Formula]) -> bool:
+    if isinstance(pattern, Var):
+        return bindings.setdefault(pattern.name, target) is target
+    if isinstance(pattern, Const):
+        return pattern is target
+    if isinstance(pattern, Bang):
+        return isinstance(target, Bang) and _match(pattern.child, target.child, bindings)
+    return (
+        isinstance(target, BinOp)
+        and target.op == pattern.op
+        and _match(pattern.left, target.left, bindings)
+        and _match(pattern.right, target.right, bindings)
+    )
 
 
 @dataclass(frozen=True)
@@ -224,21 +218,15 @@ def check_derivation(
             if any(not 1 <= r < position for r in step.refs):
                 return DerivationReport(False, position, "refs must point to earlier steps")
             cited = [steps[r - 1].formula for r in step.refs]
+            # one node per formula: each rule fires just when its node is the one cited
             if rule == "mp":
-                major = cited[1]
-                if not (
-                    isinstance(major, BinOp)
-                    and major.op == "imp"
-                    and major.left == cited[0]
-                    and major.right == step.formula
-                ):
+                if cited[1] is not BinOp("imp", cited[0], step.formula):
                     return DerivationReport(False, position, "mp does not fire")
             elif rule == "adj":
-                if step.formula != BinOp("and", cited[0], cited[1]):
+                if step.formula is not BinOp("and", cited[0], cited[1]):
                     return DerivationReport(False, position, "adj does not fire")
-            else:
-                if step.formula != Bang(cited[0]):
-                    return DerivationReport(False, position, "nec does not fire")
+            elif step.formula is not Bang(cited[0]):
+                return DerivationReport(False, position, "nec does not fire")
             continue
         scheme = system.scheme(rule)
         if scheme is None:
@@ -263,12 +251,7 @@ def steps_from_json(data: Sequence[dict]) -> tuple[Step, ...]:
         if not (isinstance(refs, (list, tuple)) and all(type(r) is int for r in refs)):
             raise ValueError(f"{where} field 'refs' must be a list of integers.")
     return tuple(
-        Step(
-            formula=parse(entry["formula"]),
-            rule=entry["rule"],
-            refs=tuple(entry.get("refs", ())),
-        )
-        for entry in data
+        Step(parse(entry["formula"]), entry["rule"], tuple(entry.get("refs", ()))) for entry in data
     )
 
 
@@ -277,16 +260,10 @@ def load_hilbert_corpus() -> list[dict]:
     raw = json.loads(
         files("girale").joinpath("data/hilbert_corpus.json").read_text(encoding="utf-8")
     )
-    out = []
-    for entry in raw["derivations"]:
-        out.append(
-            {
-                "name": entry["name"],
-                "system": entry["system"],
-                "steps": steps_from_json(entry["steps"]),
-            }
-        )
-    return out
+    return [
+        {"name": entry["name"], "system": entry["system"], "steps": steps_from_json(entry["steps"])}
+        for entry in raw["derivations"]
+    ]
 
 
 # --- sequents --------------------------------------------------------------
@@ -427,6 +404,7 @@ class _Calculus:
 
         self.on_left = [row[atoms:] + row[:atoms] for row in map(fill, range(len(on_right)))]
         self.on_right = on_right
+        del fill  # else its own cell keeps it, and self, in a cycle for the collector
 
     def balanced(self, goal: Goal) -> bool:
         """The count test: whether, for every atom, 0 lies in the goal's
@@ -603,8 +581,10 @@ def _search(calculus: _Calculus, seq: Sequent, bound: int) -> tuple[SequentProof
         return None
 
     ant, succ = calculus.encode(seq)  # type: ignore[misc]
-    proof = search((_sorted_tuple(ant) if calculus.exchange else ant, succ), bound)
-    memo.clear()  # search refers to itself, so only a cyclic collection would free it
+    try:
+        proof = search((_sorted_tuple(ant) if calculus.exchange else ant, succ), bound)
+    finally:
+        del search  # else search's cell keeps it, and the memo, in a cycle for the collector
     return proof, cuts == 0
 
 

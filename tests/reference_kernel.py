@@ -19,9 +19,9 @@ pushout by closing its kernel under products, and the product of two tables
 by four nested loops.  The sequent section keeps the search loop that
 re-searches every failure at each larger budget, its two rule generators
 over formula tuples (one per calculus, with the multiset splits listed in
-full), the recursive structural key, and the hash of the formula nodes as
-plain dataclasses, all without caches or subformula codes, and Maehara's
-interpolant with one branch per rule that edits the left multiset by hand.
+full), the recursive structural key, all without caches or subformula
+codes, and Maehara's interpolant with one branch per rule that edits the
+left multiset by hand.
 The last section keeps ``build_R`` with one function per operation called on
 every cell, ``build_R_reference``, which writes the rows from the layout and
 computes the residuals again for every signature, and ``member_K`` with its
@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -749,39 +748,6 @@ def structural_key(f: Formula):
     if isinstance(f, BinOp):
         return (2, OPS.index(f.op), structural_key(f.left), structural_key(f.right))
     return (3, structural_key(f.child))
-
-
-@dataclass(frozen=True)
-class PlainVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class PlainConst:
-    symbol: str
-
-
-@dataclass(frozen=True)
-class PlainBang:
-    child: object
-
-
-@dataclass(frozen=True)
-class PlainBinOp:
-    op: str
-    left: object
-    right: object
-
-
-def plain(f: Formula):
-    """The same tree in dataclasses with the generated, uncached hash."""
-    if isinstance(f, Var):
-        return PlainVar(f.name)
-    if isinstance(f, Const):
-        return PlainConst(f.symbol)
-    if isinstance(f, Bang):
-        return PlainBang(plain(f.child))
-    return PlainBinOp(f.op, plain(f.left), plain(f.right))
 
 
 def _sorted_ms(formulas: Iterable[Formula]) -> tuple[Formula, ...]:

@@ -1,14 +1,18 @@
+import copy
 import dataclasses
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girale import formula as formula_module
 from girale.formula import (
     BOT,
     Bang,
@@ -249,12 +253,11 @@ def test_json_round_trip(f):
 @settings(max_examples=200)
 @given(formulas)
 def test_cached_hash_and_key_match_the_recursion(f):
-    # twice: the first call fills the caches, the second reads them
+    # twice: the first call fills the key cache, the second reads it
     for _ in range(2):
-        assert hash(f) == hash(ref.plain(f))
         assert structural_key(f) == ref.structural_key(f)
     twin = formula_from_dict(formula_to_dict(f))
-    assert twin == f and hash(twin) == hash(f)
+    assert twin is f and twin == f and hash(twin) == hash(f)
 
 
 def test_caches_leave_fields_and_repr_alone():
@@ -268,7 +271,6 @@ def test_caches_leave_fields_and_repr_alone():
     shapes = {Var: ["name"], Const: ["symbol"], Bang: ["child"], BinOp: ["op", "left", "right"]}
     for cls, names in shapes.items():
         assert [field.name for field in dataclasses.fields(cls)] == names
-    assert vars(f) == {"op": "mul", "left": f.left, "right": f.right}
 
 
 _DUMP = """
@@ -301,3 +303,53 @@ def test_pickling_drops_the_cached_hash():
         [sys.executable, "-c", _LOAD, text], env=env, input=data, capture_output=True, check=True
     ).stdout
     assert out.split() == [b"True", b"True"]
+
+
+@settings(max_examples=300)
+@given(formulas, st.sampled_from(NOTATIONS))
+def test_parse_gives_back_the_one_node(f, notation):
+    assert parse(render(f, notation), notation) is f
+
+
+@settings(max_examples=100)
+@given(formulas)
+def test_copies_give_back_the_one_node(f):
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
+    assert substitute(f, {}) is f
+
+
+def test_the_table_forgets_a_dropped_node():
+    """Reference counting alone frees the nodes and their entries: the
+    cyclic collector stays off."""
+    name = "fresh_name_of_this_test"
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = parse(f"!({name} * {name}) -> {name}")
+        nodes = [weakref.ref(node) for node in (f, f.left, f.left.child, f.right)]
+        assert (Var, name) in formula_module._TABLE
+        del f
+        assert [node() for node in nodes] == [None] * 4
+        assert (Var, name) not in formula_module._TABLE
+        assert all(node() is not None for node in formula_module._TABLE.values())
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_nodes_stay_frozen():
+    f = parse("x * y")
+    for field, value in (("op", "and"), ("left", Y)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, field, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        X.name = "y"
+    assert f == BinOp("mul", X, Y) and X.name == "x"
+
+
+def test_unknown_symbols_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^Unknown constant '2'\.$"):
+        Const("2")
+    with pytest.raises(ValueError, match=r"^Unknown connective 'xor'\.$"):
+        BinOp("xor", X, Y)
