@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -433,22 +433,16 @@ class CongruenceSet:
 
     @property
     def delta(self) -> Partition:
-        return min(self.congruences, key=lambda p: -len(set(p)))
+        return tuple(range(len(self.congruences[0])))
 
     def is_simple(self) -> bool:
         return self.count == 2
 
     def is_fsi(self) -> bool:
+        """Delta is meet-irreducible: in a finite lattice, the meet of the others is not Delta."""
         delta = self.delta
-        for p in self.congruences:
-            if p == delta:
-                continue
-            for q in self.congruences:
-                if q == delta:
-                    continue
-                if meet_partitions(p, q) == delta:
-                    return False
-        return True
+        above = [p for p in self.congruences if p != delta]
+        return not above or reduce(meet_partitions, above) != delta
 
 
 def congruence_set(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:

@@ -77,8 +77,11 @@ class AmalgamReport:
         )
 
     @property
-    def strong(self) -> bool:
-        """Whether the image-intersection equality held; diagnostic, not required."""
+    def strong(self) -> bool | None:
+        """Whether the image-intersection equality held, None when it was not
+        checked; diagnostic, not required."""
+        if not self.strong_checked:
+            return None
         return all(
             item.passed for item in self.checks if item.name == "strong-intersection"
         )

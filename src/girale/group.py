@@ -1,9 +1,9 @@
 """Finite abelian groups as Cayley tables.
 
 Elements are indices 0..n-1.  Provides construction from invariant factors,
-the torsion quasi-equation check ("no nontrivial p-th roots of 1"), subgroup
-enumeration, essential-embedding tests, and pushouts along injective
-homomorphisms, which serve as the finite amalgamation oracle.
+the torsion quasi-equation check ("no nontrivial p-th roots of 1"),
+essential-embedding tests, and pushouts along injective homomorphisms, which
+serve as the finite amalgamation oracle.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -211,57 +212,28 @@ def make_group(invariant_factors: Sequence[int]) -> FiniteGroup:
     return _trusted_group(table, names)
 
 
-def _prime_factorization(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def invariant_factors_of(group: FiniteGroup) -> tuple[int, ...]:
     """Canonical invariant factors d1 | d2 | ... (ascending); () for the trivial group.
 
-    Recovered from the counts of elements whose order divides successive
-    prime powers, which determine the type of each primary component.
+    The elements whose order divides m number the product of gcd(m, d) over
+    the factors d.  So, largest first, each factor is the least divisor m of
+    the one before (of |G| for the first) at which that count is that product
+    over the factors found so far times the order still to place.
     """
-    n = group.size
-    if n == 1:
-        return ()
-    per_prime: dict[int, list[int]] = {}
-    for p in _prime_factorization(n):
-        exps = [0]
-        i = 1
-        while True:
-            c = sum(1 for d in group.orders if p**i % d == 0)
-            e = 0
-            cc = c
-            while cc > 1:
-                if cc % p:
-                    raise ValueError("Torsion counts are not prime powers; not a group?")
-                cc //= p
-                e += 1
-            if e == exps[-1]:
+    counts = Counter(group.orders)
+    found: list[int] = []
+    rest = group.size
+    while rest > 1:
+        last = found[-1] if found else rest
+        for m in (k for k in range(2, last + 1) if last % k == 0):
+            fits = math.prod(math.gcd(m, d) for d in found) * rest
+            if sum(c for d, c in counts.items() if m % d == 0) == fits:
                 break
-            exps.append(e)
-            i += 1
-        conj = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
-        parts = [sum(1 for c_ in conj if c_ >= j) for j in range(1, (conj[0] if conj else 0) + 1)]
-        per_prime[p] = sorted(parts, reverse=True)
-    width = max(len(parts) for parts in per_prime.values())
-    factors_desc = []
-    for j in range(width):
-        d = 1
-        for p, parts in per_prime.items():
-            if j < len(parts):
-                d *= p ** parts[j]
-        factors_desc.append(d)
-    return tuple(sorted(factors_desc))
+        else:
+            raise ValueError("Element orders fit no invariant factors; not a group?")
+        found.append(m)
+        rest //= m
+    return tuple(reversed(found))
 
 
 @dataclass(frozen=True)
@@ -300,47 +272,13 @@ def _group_ops(source: FiniteGroup, target: FiniteGroup) -> _Ops:
     )
 
 
-def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing the generators (closure under the product)."""
-    closed = {group.identity}
-    frontier = [g for g in generators]
-    closed.update(frontier)
-    while frontier:
-        x = frontier.pop()
-        new = {group.mul(x, y) for y in closed} - closed
-        closed |= new
-        frontier.extend(new)
-    return frozenset(closed)
-
-
-def subgroups(group: FiniteGroup) -> list[frozenset[int]]:
-    """All subgroups, via closures of generated sets; exponential in bad cases."""
-    trivial = frozenset({group.identity})
-    found = {trivial}
-    queue = [trivial]
-    while queue:
-        current = queue.pop()
-        for g in range(group.size):
-            if g in current:
-                continue
-            bigger = subgroup_closure(group, current | {g})
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
 def is_essential(embedding: GroupHom) -> bool:
-    """True iff the image meets every nontrivial subgroup of the target nontrivially."""
+    """True iff the image meets every nontrivial subgroup of the target nontrivially:
+    iff it holds every element of prime order, since each nontrivial subgroup holds
+    one and the subgroup that one generates has no other nontrivial subgroup."""
     embedding.require_embedding("The map to is_essential")
-    target = embedding.target
     image = set(embedding.mapping)
-    for sub in subgroups(target):
-        if len(sub) == 1:
-            continue
-        if all(x == target.identity for x in image & sub):
-            return False
-    return True
+    return all(x in image for x, d in enumerate(embedding.target.orders) if is_prime(d))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ arguments and the same first group-table error.  ``refines`` and
 ``is_congruence`` check the congruence order and the congruences that
 ``congruence_set`` computes, and ``congruence_set_reference`` computes them
 without reuse: every principal congruence is closed on its own, and every
-join is closed again under all the operations.  The hom searches and
+join is closed again under all the operations.  ``is_fsi`` meets every pair
+of congruences above Delta.  The hom searches and
 preservation loops are the two separate engines for algebras and groups:
 the shared engine must list the same maps in the same order and report the
 same violations.  The group layer at the end computes each fact its own way:
 element powers by repeated squaring and orders by walking powers, the
-``make_group`` table by decoding and encoding each pair of elements, the
-pushout by closing its kernel under products, and the product of two tables
-by four nested loops.  The sequent section keeps the search loop that
+invariant factors per prime by conjugating the partition that the torsion
+counts give, the ``make_group`` table by decoding and encoding each pair of
+elements, the pushout by closing its kernel under products, essential
+embeddings by meeting every subgroup, found as closures of generated sets,
+and the product of two tables by four nested loops.  The sequent section keeps the search loop that
 re-searches every failure at each larger budget, its two rule generators
 over formula tuples (one per calculus, with the multiset splits listed in
 full), the recursive structural key, all without caches or subformula
@@ -78,7 +81,7 @@ from girale.formula import (
     free_variables,
     negation,
 )
-from girale.group import FiniteGroup, GroupHom, PrimeSet, _prime_factorization, group_from_table
+from girale.group import FiniteGroup, GroupHom, PrimeSet, group_from_table
 from girale.proofs import Sequent, SequentProof, _check_fragment
 from girale.formula import depth as formula_depth, size as formula_size
 from girale.semantics import (
@@ -352,6 +355,19 @@ def congruence_set_reference(A: FiniteAlgebra, max_size: int = 32) -> Congruence
     return CongruenceSet(tuple(sorted(found)))
 
 
+def is_fsi(congruences: CongruenceSet) -> bool:
+    """Delta is meet-irreducible by definition: no two congruences above Delta
+    meet in Delta (``CongruenceSet.is_fsi`` takes one meet of all of them)."""
+    n = len(congruences.congruences[0])
+    delta = _canonical(range(n))
+    above = [p for p in congruences.congruences if p != delta]
+    for p in above:
+        for q in above:
+            if _canonical((p[x], q[x]) for x in range(n)) == delta:
+                return False
+    return True
+
+
 def validate_group(table: Sequence[Sequence[int]]) -> None:
     n = len(table)
     for i, row in enumerate(table):
@@ -587,6 +603,19 @@ def order_of(group: FiniteGroup, a: int) -> int:
     return k
 
 
+def _prime_factorization(n: int) -> dict[int, int]:
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def invariant_factors_of(group: FiniteGroup) -> tuple[int, ...]:
     """Canonical invariant factors d1 | d2 | ... (ascending); () for the trivial group.
 
@@ -719,6 +748,49 @@ def pushout(
     into_left = tuple(coset_index[enc(b, right.identity)] for b in range(n_left))
     into_right = tuple(coset_index[enc(left.identity, c)] for c in range(n_right))
     return table, [f"c{i}" for i in range(size)], into_left, into_right
+
+
+def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
+    """Smallest subgroup containing the generators (closure under the product)."""
+    closed = {group.identity}
+    frontier = [g for g in generators]
+    closed.update(frontier)
+    while frontier:
+        x = frontier.pop()
+        new = {group.mul(x, y) for y in closed} - closed
+        closed |= new
+        frontier.extend(new)
+    return frozenset(closed)
+
+
+def subgroups(group: FiniteGroup) -> list[frozenset[int]]:
+    """All subgroups, via closures of generated sets; exponential in bad cases."""
+    trivial = frozenset({group.identity})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        current = queue.pop()
+        for g in range(group.size):
+            if g in current:
+                continue
+            bigger = subgroup_closure(group, current | {g})
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def is_essential(embedding: GroupHom, subs: Sequence[frozenset[int]] | None = None) -> bool:
+    """True iff the image meets every nontrivial subgroup of the target
+    nontrivially, over the given subgroups of the target or all of them."""
+    target = embedding.target
+    image = set(embedding.mapping)
+    for sub in subgroups(target) if subs is None else subs:
+        if len(sub) == 1:
+            continue
+        if all(x == target.identity for x in image & sub):
+            return False
+    return True
 
 
 def product_table(tA: Table, tB: Table) -> Table:

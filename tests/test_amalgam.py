@@ -184,6 +184,23 @@ def test_trivial_spans_are_weak_but_amalgamate():
     assert not report.strong  # bounds meet outside the image of the trivial core
 
 
+def test_unchecked_strong_reads_unknown():
+    """Without strong=True the report leaves strength unknown: of these 17
+    spans, 4 fail the strong-intersection check when it is run."""
+    primes = PrimeSet.of(2)
+    query = KClassQuery(primes, frozenset())
+    weak = 0
+    spans = list(span_catalog(primes, frozenset(), 3))
+    for span in spans:
+        amalgam = amalgamate(span, query)
+        unchecked = verify_amalgam(span, amalgam)
+        checked = verify_amalgam(span, amalgam, strong=True)
+        assert unchecked.passed and not unchecked.strong_checked and unchecked.strong is None
+        assert checked.passed and checked.strong_checked and checked.strong in (True, False)
+        weak += not checked.strong
+    assert len(spans) == 17 and weak == 4
+
+
 def test_span_catalog_small_sweep():
     primes = PrimeSet.of(2)
     sig = frozenset()

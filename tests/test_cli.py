@@ -95,6 +95,20 @@ def test_eval_command(tmp_path, capsys):
     assert doc["result"]["name"] == "bot"
 
 
+@pytest.mark.parametrize(
+    "token, element", [("1", {"element": 0, "name": "1"}), ("3", {"element": 3, "name": "top"})]
+)
+def test_eval_integer_element_token(tmp_path, capsys, token, element):
+    """An assignment reads an element name first, then an index: in R(Z2),
+    x=1 is the unit, named "1", and x=3 is top, which no name spells."""
+    algebra = tmp_path / "g.json"
+    algebra.write_text(json.dumps(ALG))
+    argv = ["eval", "--algebra", str(algebra), "--formula", "x", "--assign", f"x={token}"]
+    code, doc = invoke_json(capsys, argv)
+    assert code == 0
+    assert doc["result"] == element
+
+
 def test_congruences_command(tmp_path, capsys):
     algebra = tmp_path / "g.json"
     invoke(capsys, ["build", "--group", "2", "--sig", "none", "--out", str(algebra)])
@@ -273,6 +287,10 @@ PINNED = {
         for mode in ("deductive", "craig", "guarded")
     },
     "interpolate-mixed-guard": ["interpolate", *_INTERPOLATE, "--mode", "guarded", "--mixed-guard"],
+    "interpolate-exhausted": [
+        "interpolate", "--algebras", "r_z2_full.json", "--premise", "x * y",
+        "--conclusion", "x * y", "--mode", "craig", "--depth", "0",
+    ],
     "interpolate-refused": [
         "interpolate", "--algebras", "r_z3_full.json,r_z2z2_full.json",
         "--premise", "!(x -> y) * x /\\ u", "--conclusion", "!y \\/ v", "--mode", "craig",
@@ -299,6 +317,10 @@ GROUP_PINNED = {
     "amalgamate-z3-z9-z9": (["amalgamate", "--span", "span-z3-z9-z9.json", "--primes", "2"], 0),
     "amalgamate-t-z2-z3": (["amalgamate", "--span", "span-t-z2-z3.json", "--primes", "5"], 0),
     "build-2-2-3-full": (["build", "--group", "2,2,3", "--sig", "full"], 0),
+    "member-k-z3-p2": (["member-k", "--algebra", "r_z3_full.json", "--primes", "2"], 0),
+    # z2z4.json is the file of `build --group 2,4 --sig full`: the group's name
+    # comes from its invariant factors
+    "member-k-z2z4-p3": (["member-k", "--algebra", "z2z4.json", "--primes", "3"], 0),
     "member-k-z3-p3": (["member-k", "--algebra", "r_z3_full.json", "--primes", "3"], 1),
     "member-k-z4-p2-3": (["member-k", "--algebra", "r_z4_zero.json", "--primes", "2,3"], 1),
 }
@@ -502,6 +524,14 @@ MALFORMED = {
     ),
     "negative-max-order": (["catalog", "--primes", "2", "--max-order", "-1"], None),
     "negative-bound": (["prove", "--sequent", "x => x", "--bound", "-1"], None),
+    "primes-empty": (["member-k", "--algebra", "{file}", "--primes", ""], ALG),
+    "primes-word": (["member-k", "--algebra", "{file}", "--primes", "2,x"], ALG),
+    "group-word": (["build", "--group", "2,y"], None),
+    "assign-out-of-range": (["eval", "--algebra", "{file}", "--formula", "x", "--assign", "x=9"], ALG),
+    "assign-no-equals": (["eval", "--algebra", "{file}", "--formula", "x", "--assign", "x"], ALG),
+    "derivation-system-number": (["check-proof", "--file", "{file}"], {"steps": [], "system": 3}),
+    "derivation-premise-number": (["check-proof", "--file", "{file}"], {"steps": [], "premises": [1]}),
+    "derivation-system-unknown": (["check-proof", "--file", "{file}"], {"steps": [], "system": "K4"}),
 }
 
 

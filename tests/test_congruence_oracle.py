@@ -6,7 +6,9 @@ same congruence set on the 272 algebras of acceptance criterion 03, on the
 pairwise products of at most 16 elements and their negative cones, and on
 R(Z2) x R(Z3).  On random tables of at most 5 elements, which need satisfy
 no law and some of which read one argument only, the congruences must be
-exactly the set partitions that ``is_congruence`` accepts.
+exactly the set partitions that ``is_congruence`` accepts.  ``is_fsi``, one
+meet of every congruence above Delta, must agree with the reference's pairwise
+meets.
 """
 
 import itertools
@@ -20,11 +22,12 @@ from girale.algebra import (
     congruence_set,
     direct_product,
     negative_cone,
+    trivial_algebra,
 )
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import abelian_group_catalog, make_group
 
-from tests.reference_kernel import congruence_set_reference, is_congruence
+from tests.reference_kernel import congruence_set_reference, is_congruence, is_fsi
 
 GROUPS12 = [make_group(chain or [1]) for chain in abelian_group_catalog(12)]
 ALL_SIGNATURES = [
@@ -105,3 +108,20 @@ def random_tables(draw):
 def test_random_tables_match_brute_force(A):
     expected = [p for p in _set_partitions(A.size) if is_congruence(A, p)]
     assert list(congruence_set(A).congruences) == expected
+
+
+def test_is_fsi_matches_pairwise_definition():
+    """One meet of all congruences above Delta against every pairwise meet:
+    the expansions of the groups of order <= 12, their products of at most 32
+    elements, and the trivial algebra (whose only congruence is Delta)."""
+    sets = [congruence_set(trivial_algebra(SIGNATURE_FULL))]
+    for sig in PRODUCT_SIGNATURES:
+        factors = [build_R(group, sig) for group in GROUPS12]
+        sets += [congruence_set(A) for A in factors]
+        for A, B in itertools.combinations_with_replacement(factors, 2):
+            if A.size * B.size <= 32:
+                sets.append(congruence_set(direct_product(A, B)))
+    verdicts = [congruences.is_fsi() for congruences in sets]
+    assert verdicts == [is_fsi(congruences) for congruences in sets]
+    assert sets[0].count == 1 and verdicts[0]
+    assert len(sets) == 112 and verdicts.count(False) == 60

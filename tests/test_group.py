@@ -23,10 +23,10 @@ from girale.group import (
     is_prime,
     make_group,
     pushout,
-    subgroups,
 )
 
 from tests import reference_kernel as ref
+from tests.reference_kernel import subgroups
 
 
 def identity(group: FiniteGroup) -> GroupHom:

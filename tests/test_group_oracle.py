@@ -4,18 +4,27 @@ Every abelian group of order <= 64, and some factor lists that are not
 invariant-factor chains, must give the reference's tables, names, element
 orders, invariant factors and sigma witnesses.  Pushouts of injective spans
 B <- A -> C with |B|*|C| <= 64 must give the reference's quotient table,
-names and legs.
+names and legs.  The invariant factors, read from element-order counts, must
+equal the reference's per-prime partitions also on relabelled tables, and
+``is_essential``, which looks only at elements of prime order, must equal the
+definition over every subgroup.
 """
 
 import itertools
+import random
+
+import pytest
 
 from girale.algebra import direct_product
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import (
+    FiniteGroup,
     PrimeSet,
     abelian_group_catalog,
     check_sigma,
+    group_from_table,
     group_homs,
+    is_essential,
     make_group,
     pushout,
 )
@@ -81,3 +90,52 @@ def test_direct_product_matches_reference():
         product = direct_product(A, B)
         for label in ("meet", "join", "mult", "imp"):
             assert getattr(product, label) == ref.product_table(getattr(A, label), getattr(B, label))
+
+
+def _relabelled(group, rng):
+    """The group on a random relabelling of its elements, checked by group_from_table."""
+    perm = list(range(group.size))
+    rng.shuffle(perm)
+    table = [[0] * group.size for _ in perm]
+    for a, b in itertools.product(range(group.size), repeat=2):
+        table[perm[a]][perm[b]] = perm[group.mul(a, b)]
+    return group_from_table(table)
+
+
+def test_invariant_factors_match_reference_on_relabelled_groups():
+    """The order-count characterization on every abelian group of order <= 64
+    and on a copy whose identity and order of elements are shuffled."""
+    rng = random.Random(23)
+    checked = 0
+    for chain in CHAINS:
+        group = make_group(chain)
+        for copy in (group, _relabelled(group, rng)):
+            assert copy.invariant_factors == ref.invariant_factors_of(copy) == tuple(
+                d for d in chain if d > 1
+            ), chain
+            checked += 1
+    assert checked == 234
+
+
+def test_non_group_table_raises_value_error():
+    """Orders (1, 2, 2) over three elements: no divisor of 3 fits the counts."""
+    fake = FiniteGroup(3, ((0, 0, 0),) * 3, 0, (0, 0, 0), ("e", "x", "y"))
+    assert fake.orders == (1, 2, 2)
+    with pytest.raises(ValueError, match="not a group"):
+        fake.invariant_factors
+
+
+def test_is_essential_matches_definition():
+    """Every embedding among abelian groups of order <= 16, each target's
+    subgroups enumerated once."""
+    groups = [make_group(chain or [1]) for chain in abelian_group_catalog(16)]
+    count = essential = 0
+    for target in groups:
+        subs = ref.subgroups(target)
+        for source in groups:
+            for hom in group_homs(source, target, injective_only=True):
+                expected = ref.is_essential(hom, subs)
+                assert is_essential(hom) == expected, (source.describe(), target.describe())
+                count += 1
+                essential += expected
+    assert count == 24033 and 0 < essential < count

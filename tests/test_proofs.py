@@ -1,7 +1,7 @@
 import pytest
 
 from girale import proofs
-from girale.formula import free_variables, parse, render
+from girale.formula import Bang, free_variables, parse, render
 from girale.proofs import (
     SCHEMES,
     SYSTEMS,
@@ -75,6 +75,64 @@ def test_check_derivation_language_guard():
     report = check_derivation((Step(parse("!x -> x"), "!T"),), RLE)
     assert not report.valid
     assert "language" in report.reason
+
+
+# name -> (system, premises, steps, failing step, reason): one minimal
+# derivation per rejection of check_derivation
+_X, _Y, _XY = parse("x"), parse("y"), parse("x -> y")
+REJECTED = {
+    "no-premise": (RLE, [_X], [Step(_X, "premise", (1,))], 1, "no premise 1"),
+    "not-premise": (RLE, [_X], [Step(_Y, "premise", (0,))], 1, "formula is not premise 0"),
+    "premise-index": (RLE, [_X], [Step(_X, "premise", ())], 1, "premise needs one index"),
+    "rule-not-in-system": (
+        HilbertSystem("mp only", ("A1",), frozenset({"mp"}), frozenset()), [_X],
+        [Step(_X, "premise", (0,)), Step(parse("x /\\ x"), "adj", (1, 1))], 2,
+        "rule adj not in system",
+    ),
+    "mp-refs": (RLE, [_X], [Step(_X, "premise", (0,)), Step(_X, "mp", (1,))], 2, "mp needs 2 refs"),
+    "nec-refs": (LL, [_X], [Step(_X, "premise", (0,)), Step(Bang(_X), "nec", (1, 1))], 2,
+                 "nec needs 1 refs"),
+    "mp-misfires": (
+        RLE, [_X, _XY], [Step(_X, "premise", (0,)), Step(_XY, "premise", (1,)), Step(parse("z"), "mp", (1, 2))],
+        3, "mp does not fire",
+    ),
+    "mp-swapped": (
+        RLE, [_X, _XY], [Step(_X, "premise", (0,)), Step(_XY, "premise", (1,)), Step(_Y, "mp", (2, 1))],
+        3, "mp does not fire",
+    ),
+    "adj-misfires": (
+        RLE, [_X, _Y],
+        [Step(_X, "premise", (0,)), Step(_Y, "premise", (1,)), Step(parse("y /\\ x"), "adj", (1, 2))],
+        3, "adj does not fire",
+    ),
+    "nec-misfires": (
+        LL, [_X], [Step(_X, "premise", (0,)), Step(Bang(_Y), "nec", (1,))], 2, "nec does not fire",
+    ),
+    "unknown-rule": (RLE, [], [Step(_X, "cut")], 1, "rule or axiom 'cut' not available"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_check_derivation_rejections(name):
+    system, premises, steps, step, reason = REJECTED[name]
+    assert check_derivation(steps[:-1], system, premises).valid  # only the last step fails
+    report = check_derivation(steps, system, premises)
+    assert (report.valid, report.step, report.reason) == (False, step, reason)
+
+
+@pytest.mark.parametrize(
+    "axioms, rules, extra, message",
+    [
+        (("A1", "B9"), {"mp"}, (), r"Unknown axiom schemes \['B9'\]"),
+        (("A1",), {"mp", "cut"}, (), r"Unknown rules \['cut'\]"),
+        (("A1",), {"mp"}, (("mp", parse("x")),), "Extra axiom name 'mp' clashes"),
+        (("A1",), {"mp"}, (("top", parse("x -> top")),),
+         r"Extra axiom 'top' uses symbols \['top'\] outside the system language"),
+    ],
+)
+def test_system_construction_errors(axioms, rules, extra, message):
+    with pytest.raises(ValueError, match=message):
+        HilbertSystem("broken", axioms, frozenset(rules), frozenset(), extra_axioms=extra)
 
 
 def test_system_coherence():
