@@ -58,7 +58,7 @@ class FiniteAlgebra:
                 raise ValueError(f"{label} table entry out of range.")
         for label in ("one", "zero", "bot", "top"):
             v = getattr(self, label)
-            if v is not None and not 0 <= v < n:
+            if (v is not None or label == "one") and v not in range(n):
                 raise ValueError(f"Constant {label}={v} out of range.")
         if self.bang is not None:
             if len(self.bang) != n or any(not 0 <= v < n for v in self.bang):
@@ -745,39 +745,53 @@ def _is_list_of(value, kind: type) -> bool:
     return isinstance(value, list) and all(type(v) is kind for v in value)
 
 
+# JSON field kinds, each named by the words of its message; "a JSON value" is
+# any value, left to the loader it goes to (a span's algebras, a derivation's steps)
+_KINDS: dict[str, Callable[[object], bool]] = {
+    "an integer": lambda v: type(v) is int,
+    "a string": lambda v: type(v) is str,
+    "a list of integers": lambda v: _is_list_of(v, int),
+    "a list of strings": lambda v: _is_list_of(v, str),
+    "a table of integers": lambda v: _is_list_of(v, list) and all(_is_list_of(r, int) for r in v),
+    "a JSON value": lambda v: True,
+}
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, kind: str, where: str, default=_REQUIRED):
+    """``data[key]`` checked as ``kind``, raising ValueError naming the field. A field with
+    a default reads as it when absent, and when null too if the default is None."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} field {key!r} is missing.")
+        return default
+    value = data[key]
+    if not (value is None and default is None or _KINDS[kind](value)):
+        raise ValueError(f"{where} field {key!r} must be {kind}.")
+    return value
+
+
 def algebra_from_json(data: dict) -> FiniteAlgebra:
     """Load an algebra object, raising ValueError naming the bad field.
 
     Shape and types are checked here, table sizes and ranges by FiniteAlgebra.
-    A null zero, bot, top or names reads as absent.
+    A null zero, bot, top or names reads as absent; a null bang is rejected.
     """
     if not isinstance(data, dict):
         raise ValueError("Algebra JSON must be an object.")
-    for key in ("size", "meet", "join", "mult", "imp", "one"):
-        if key not in data:
-            raise ValueError(f"Algebra JSON field {key!r} is missing.")
-    for key in ("size", "one", "zero", "bot", "top"):
-        if data.get(key) is not None and type(data[key]) is not int:
-            raise ValueError(f"Algebra JSON field {key!r} must be an integer.")
-    for key in ("meet", "join", "mult", "imp"):
-        if not (_is_list_of(data[key], list) and all(_is_list_of(r, int) for r in data[key])):
-            raise ValueError(f"Algebra JSON field {key!r} must be a table of integers.")
-    if "bang" in data and not _is_list_of(data["bang"], int):
-        raise ValueError("Algebra JSON field 'bang' must be a list of integers.")
-    names = data.get("names")
-    if names is not None and not _is_list_of(names, str):
-        raise ValueError("Algebra JSON field 'names' must be a list of strings.")
-    to_table = lambda rows: tuple(tuple(r) for r in rows)  # noqa: E731
+    where = "Algebra JSON"
+    table = lambda key: tuple(map(tuple, _field(data, key, "a table of integers", where)))  # noqa: E731
+    names = _field(data, "names", "a list of strings", where, None)
     return FiniteAlgebra(
-        size=data["size"],
-        meet=to_table(data["meet"]),
-        join=to_table(data["join"]),
-        mult=to_table(data["mult"]),
-        imp=to_table(data["imp"]),
-        one=data["one"],
-        zero=data.get("zero"),
-        bot=data.get("bot"),
-        top=data.get("top"),
-        bang=tuple(data["bang"]) if "bang" in data else None,
+        size=_field(data, "size", "an integer", where),
+        meet=table("meet"),
+        join=table("join"),
+        mult=table("mult"),
+        imp=table("imp"),
+        one=_field(data, "one", "an integer", where),
+        zero=_field(data, "zero", "an integer", where, None),
+        bot=_field(data, "bot", "an integer", where, None),
+        top=_field(data, "top", "an integer", where, None),
+        bang=tuple(_field(data, "bang", "a list of integers", where)) if "bang" in data else None,
         names=tuple(names) if names is not None else None,
     )

@@ -23,7 +23,7 @@ from . import __version__
 from .algebra import (
     CLASS_TAGS,
     AlgHom,
-    _is_list_of,
+    _field,
     algebra_from_json,
     algebra_to_json,
     check_class,
@@ -125,12 +125,9 @@ def _element_index(A, token: str) -> int:
     if A.names is not None and token in A.names:
         return A.names.index(token)
     try:
-        value = int(token)
+        return int(token)  # eval_formula checks the range
     except ValueError as exc:
         raise UsageError(f"Unknown element {token!r}.") from exc
-    if not 0 <= value < A.size:
-        raise UsageError(f"Element index {value} out of range.")
-    return value
 
 
 def _named_assignment(A, assignment: dict[str, int]) -> dict[str, str]:
@@ -254,15 +251,14 @@ def _span_from_json(data) -> Span:
         raise UsageError("Span file must be a JSON object.")
     algebras = {}
     for key in ("A", "B", "C"):
+        value = _field(data, key, "a JSON value", "Span")
         try:
-            algebras[key] = algebra_from_json(data[key])
+            algebras[key] = algebra_from_json(value)
         except ValueError as exc:
             raise ValueError(f"Span field {key!r}: {exc}") from exc
-    for key in ("phi1", "phi2"):
-        if not _is_list_of(data[key], int):
-            raise ValueError(f"Span field {key!r} must be a list of integers.")
+    phi1, phi2 = (tuple(_field(data, key, "a list of integers", "Span")) for key in ("phi1", "phi2"))
     A, B, C = algebras["A"], algebras["B"], algebras["C"]
-    return Span(A, B, C, AlgHom(A, B, tuple(data["phi1"])), AlgHom(A, C, tuple(data["phi2"])))
+    return Span(A, B, C, AlgHom(A, B, phi1), AlgHom(A, C, phi2))
 
 
 def _cmd_eval(args, inputs: _Inputs):
@@ -359,17 +355,11 @@ def _cmd_prove(args, inputs: _Inputs):
 def _cmd_check_proof(args, inputs: _Inputs):
     data = inputs.json_file("derivation", args.file)
     if isinstance(data, dict):
-        steps_json = data["steps"]
-        system_name = data.get("system", args.system)
-        premise_texts = data.get("premises", [])
-        if not isinstance(system_name, str):
-            raise ValueError("Derivation field 'system' must be a string.")
-        if not _is_list_of(premise_texts, str):
-            raise ValueError("Derivation field 'premises' must be a list of strings.")
+        steps_json = _field(data, "steps", "a JSON value", "Derivation")
+        system_name = _field(data, "system", "a string", "Derivation", args.system)
+        premise_texts = _field(data, "premises", "a list of strings", "Derivation", [])
     else:
-        steps_json = data
-        system_name = args.system
-        premise_texts = []
+        steps_json, system_name, premise_texts = data, args.system, []
     if system_name not in SYSTEMS:
         raise UsageError(f"Unknown system {system_name!r}; pick from {sorted(SYSTEMS)}.")
     steps = steps_from_json(steps_json)
@@ -498,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("eval", help="evaluate a formula under an assignment")
     p.add_argument("--algebra", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--assign", default="", help="e.g. x=a,y=bot")
+    p.add_argument("--assign", default="", help="e.g. x=a,y=bot; an element name, else an index")
     p.add_argument("--notation", choices=NOTATIONS, default="substructural")
     p.set_defaults(handler=_cmd_eval)
 
@@ -553,7 +543,7 @@ def run(argv: list[str] | None = None) -> int:
         code, payload = args.handler(args, inputs)
     except UsageError as exc:
         code, payload = EXIT_USAGE, {"error": str(exc)}
-    except (ParseError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         code, payload = EXIT_USAGE, {"error": f"{type(exc).__name__}: {exc}"}
     except CapacityError as exc:
         code, payload = EXIT_CAPACITY, {"error": str(exc)}

@@ -24,8 +24,8 @@ from .algebra import (
     _Hom,
     _Ops,
     _associative,
+    _field,
     _index_dtype,
-    _is_list_of,
     _preservation_violations,
     _product_table,
     _row_blocks,
@@ -381,19 +381,13 @@ def abelian_group_catalog(max_order: int) -> list[tuple[int, ...]]:
 
 
 def group_from_json(data: dict) -> FiniteGroup:
-    """Load a group object; shape and types are checked here, raising ValueError."""
+    """Load a group object, raising ValueError; a table wins over invariant factors."""
     if not isinstance(data, dict):
         raise ValueError("Group JSON must be an object.")
-    if "invariant_factors" in data and "table" not in data:
-        if not _is_list_of(data["invariant_factors"], int):
-            raise ValueError("Group JSON field 'invariant_factors' must list integers.")
-        return make_group(data["invariant_factors"])
+    where = "Group JSON"
     if "table" in data:
-        table, names = data["table"], data.get("names")
-        if not (_is_list_of(table, list) and all(_is_list_of(row, int) for row in table)):
-            raise ValueError("Group JSON field 'table' must be a table of integers.")
-        if names is not None and not _is_list_of(names, str):
-            raise ValueError("Group JSON field 'names' must be a list of strings.")
-        return group_from_table(table, names)
+        table = _field(data, "table", "a table of integers", where)
+        return group_from_table(table, _field(data, "names", "a list of strings", where, None))
+    if "invariant_factors" in data:
+        return make_group(_field(data, "invariant_factors", "a list of integers", where))
     raise ValueError("Group JSON needs either invariant_factors or a table.")
-

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import OPTIONAL_SYMBOLS
+from .algebra import OPTIONAL_SYMBOLS, _field
 from .formula import (
     BOT,
     Bang,
@@ -245,11 +245,8 @@ def steps_from_json(data: Sequence[dict]) -> tuple[Step, ...]:
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object.")
         for key in ("formula", "rule"):
-            if not isinstance(entry.get(key), str):
-                raise ValueError(f"{where} field {key!r} must be a string.")
-        refs = entry.get("refs", [])
-        if not (isinstance(refs, (list, tuple)) and all(type(r) is int for r in refs)):
-            raise ValueError(f"{where} field 'refs' must be a list of integers.")
+            _field(entry, key, "a string", where)
+        _field(entry, "refs", "a list of integers", where, [])
     return tuple(
         Step(parse(entry["formula"]), entry["rule"], tuple(entry.get("refs", ()))) for entry in data
     )

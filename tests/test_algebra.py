@@ -125,6 +125,22 @@ def test_girale_expand_rejects_nonidempotent_negatives():
     assert err.value.witness in (1, 2)
 
 
+def test_girale_expand_rejects_an_algebra_outside_the_class():
+    chain = dataclasses.replace(bounded_involutive_chain(), top=2)
+    with pytest.raises(ValueError, match="^Input fails the bounded involutive laws: "):
+        girale_expand(chain)
+
+
+def test_negative_cone_needs_closed_negative_elements():
+    """A chain 0 < 1 < 2 with unit 1 whose product leaves the cone: 0 * 0 = 2."""
+    meet = tuple(tuple(min(a, b) for b in range(3)) for a in range(3))
+    join = tuple(tuple(max(a, b) for b in range(3)) for a in range(3))
+    mult = ((2, 0, 0), (0, 1, 2), (0, 2, 2))
+    broken = FiniteAlgebra(3, meet, join, mult, join, one=1)
+    with pytest.raises(ValueError, match="^Negative elements are not closed under the tables.$"):
+        negative_cone(broken)
+
+
 def test_negative_cone_two_elements():
     for group in (Z2, Z3, make_group([2, 2])):
         cone = negative_cone(R(group))
@@ -280,6 +296,13 @@ def test_constructor_checks_every_table_with_the_same_messages():
             dataclasses.replace(algebra, **{label: getattr(algebra, label)[:4]})
     with pytest.raises(ValueError, match="^Constant one=0 out of range.$"):
         FiniteAlgebra(0, (), (), (), (), 0)
+    for one in (None, -1, algebra.size):  # the unit is not optional
+        with pytest.raises(ValueError, match=f"^Constant one={one} out of range.$"):
+            dataclasses.replace(algebra, one=one)
+    with pytest.raises(ValueError, match="^names length does not match size.$"):
+        dataclasses.replace(algebra, names=algebra.names[:4])
+    with pytest.raises(ValueError, match="^bang table malformed.$"):
+        dataclasses.replace(algebra, bang=algebra.bang[:4])
 
 
 def test_require_embedding_runs_once_per_map_and_never_remembers_a_failure(violation_calls):

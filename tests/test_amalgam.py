@@ -165,6 +165,20 @@ def test_verify_amalgam_catches_corruption():
     assert witnessed[0].witness != ()
 
 
+def test_verify_amalgam_catches_a_leg_from_the_wrong_algebra():
+    """psi1 must start at B: here it starts at C, so the endpoints fail and the
+    square is not compared, and fails too."""
+    query = KClassQuery(PrimeSet.of(2), frozenset())
+    b, c = build_R(Z3), build_R(Z5)
+    span = Span(trivial_algebra(), b, c, unit_map(b), unit_map(c))
+    amalgam = amalgamate(span, query)
+    report = verify_amalgam(span, Amalgam(amalgam.D, amalgam.psi2, amalgam.psi2))
+    assert {item.name: item.witness for item in report.failures()} == {
+        "endpoints": (),
+        "square-commutes": (),
+    }
+
+
 def test_identity_amalgam_is_strong():
     query = KClassQuery(PrimeSet.of(2), frozenset())
     algebra = build_R(Z3)

@@ -96,11 +96,14 @@ def test_eval_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "token, element", [("1", {"element": 0, "name": "1"}), ("3", {"element": 3, "name": "top"})]
+    "token, element",
+    [("1", {"element": 0, "name": "1"}), ("3", {"element": 3, "name": "top"}),
+     ("a,,", {"element": 1, "name": "a"})],
 )
 def test_eval_integer_element_token(tmp_path, capsys, token, element):
     """An assignment reads an element name first, then an index: in R(Z2),
-    x=1 is the unit, named "1", and x=3 is top, which no name spells."""
+    x=1 is the unit, named "1", and x=3 is top, which no name spells.
+    Empty items are skipped."""
     algebra = tmp_path / "g.json"
     algebra.write_text(json.dumps(ALG))
     argv = ["eval", "--algebra", str(algebra), "--formula", "x", "--assign", f"x={token}"]
@@ -532,6 +535,34 @@ MALFORMED = {
     "derivation-system-number": (["check-proof", "--file", "{file}"], {"steps": [], "system": 3}),
     "derivation-premise-number": (["check-proof", "--file", "{file}"], {"steps": [], "premises": [1]}),
     "derivation-system-unknown": (["check-proof", "--file", "{file}"], {"steps": [], "system": "K4"}),
+    "derivation-no-steps": (["check-proof", "--file", "{file}"], {"system": "LL"}),
+    "span-no-A": (
+        ["amalgamate", "--span", "{file}", "--primes", "2"],
+        {"B": ALG, "C": ALG, "phi1": [0, 1, 2, 3], "phi2": [0, 1, 2, 3]},
+    ),
+    "span-no-phi2": (
+        ["amalgamate", "--span", "{file}", "--primes", "2"],
+        {"A": ALG, "B": ALG, "C": ALG, "phi1": [0, 1, 2, 3]},
+    ),
+    "algebra-one-null": (["congruences", "--algebra", "{file}"], _with(ALG, one=None)),
+    "algebra-size-null": (["congruences", "--algebra", "{file}"], _with(ALG, size=None)),
+    "span-not-object": (["amalgamate", "--span", "{file}", "--primes", "2"], [ALG, ALG, ALG]),
+    "assign-unknown": (["eval", "--algebra", "{file}", "--formula", "x", "--assign", "x=b"], ALG),
+    "group-names-short": (
+        ["build", "--group-file", "{file}"], {"table": [[0, 1], [1, 0]], "names": ["1"]}
+    ),
+}
+# what a case's error must say: the field or element at fault, never a bare KeyError
+ERROR_SAYS = {
+    "derivation-no-steps": "Derivation field 'steps' is missing.",
+    "span-no-A": "Span field 'A' is missing.",
+    "span-no-phi2": "Span field 'phi2' is missing.",
+    "algebra-one-null": "Algebra JSON field 'one' must be an integer.",
+    "algebra-size-null": "Algebra JSON field 'size' must be an integer.",
+    "span-not-object": "Span file must be a JSON object.",
+    "assign-unknown": "Unknown element 'b'.",
+    "assign-out-of-range": "Assignment value 9 out of range for 'x'.",
+    "group-names-short": "element_names length does not match group size.",
 }
 
 
@@ -546,7 +577,10 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in captured.err
     if captured.out:  # argparse rejections print usage to stderr instead
-        assert json.loads(captured.out)["result"]["error"]
+        error = json.loads(captured.out)["result"]["error"]
+        assert error
+        if case in ERROR_SAYS:
+            assert error.endswith(ERROR_SAYS[case]) and "KeyError" not in error, error
     else:
         assert "error" in captured.err
 
@@ -561,3 +595,49 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     code, doc = invoke_json(capsys, ["parse", "x"])
     assert code == cli.EXIT_INTERNAL == 4
     assert doc["result"]["error"] == "internal error: RuntimeError: boom"
+
+
+def test_key_error_is_an_internal_error(monkeypatch, capsys):
+    """Every JSON field goes through one reader, so a KeyError is a bug: exit 4."""
+    import girale.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("steps")
+
+    monkeypatch.setattr(cli, "parse", broken)
+    code, doc = invoke_json(capsys, ["parse", "x"])
+    assert code == cli.EXIT_INTERNAL
+    assert doc["result"]["error"] == "internal error: KeyError: 'steps'"
+
+
+@pytest.mark.parametrize(
+    "argv, document, keys",
+    [
+        (["check-class", "--algebra", "{file}"], ALG, ("zero", "names")),
+        (["member-k", "--algebra", "{file}", "--primes", "3"], ALG, ("zero", "names")),
+        (["eval", "--algebra", "{file}", "--formula", "x * y", "--assign", "x=1,y=2"], ALG,
+         ("zero", "names")),
+        (["build", "--group-file", "{file}", "--sig", "full"],
+         {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["1", "a", "a2"]}, ("names",)),
+    ],
+)
+def test_null_optional_field_reads_as_absent(tmp_path, capsys, argv, document, keys):
+    """A null zero, bot, top or names is the field left out: same output, same exit."""
+    nulled = _with(document, **dict.fromkeys(keys))
+    absent = {k: v for k, v in document.items() if k not in keys}
+    outputs = []
+    for name, contents in (("nulled.json", nulled), ("absent.json", absent)):
+        path = tmp_path / name
+        path.write_text(json.dumps(contents))
+        outputs.append(invoke(capsys, [arg.replace("{file}", str(path)) for arg in argv]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0, outputs[0][1]
+
+
+def test_member_k_on_the_trivial_algebra(tmp_path, capsys):
+    from girale.algebra import algebra_to_json, trivial_algebra
+
+    algebra = tmp_path / "t.json"
+    algebra.write_text(json.dumps(algebra_to_json(trivial_algebra())))
+    code, doc = invoke_json(capsys, ["member-k", "--algebra", str(algebra), "--primes", "2"])
+    assert (code, doc["result"]) == (0, {"member": True, "detail": "yes (trivial algebra)"})

@@ -172,6 +172,13 @@ def test_steps_json_round_trip():
     assert steps_from_json(entries) == steps
 
 
+def test_steps_json_names_the_bad_step():
+    with pytest.raises(ValueError, match="^Derivation step 2 must be an object.$"):
+        steps_from_json([{"formula": "1", "rule": "A12"}, ["1", "A12"]])
+    with pytest.raises(ValueError, match="^Derivation step 1 field 'rule' is missing.$"):
+        steps_from_json([{"formula": "1"}])
+
+
 def test_parse_sequent():
     seq = parse_sequent("x, x -> y => y")
     assert len(seq.antecedent) == 2
@@ -353,6 +360,12 @@ def test_extract_craig_disjoint_antecedents():
     result = extract_craig(proof, {"x"}, {"y"})
     assert free_variables(result.interpolant) <= {"x"}
     assert result.left_proved and result.right_proved and result.semantically_valid
+
+
+def test_extract_craig_refuses_a_proof_that_does_not_validate():
+    bogus = SequentProof(parse_sequent("x => y"), "id", ())
+    with pytest.raises(ValueError, match="^Proof does not validate: bad id instance at x => y$"):
+        extract_craig(bogus, {"x"}, {"x", "y"})
 
 
 def test_extract_craig_unsplittable():
