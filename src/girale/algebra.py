@@ -776,13 +776,15 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
 
     Shape and types are checked here, table sizes and ranges by FiniteAlgebra.
     A null zero, bot, top or names reads as absent; a null bang is rejected.
+    A ``signature``, when given, must be the one the constants give.
     """
     if not isinstance(data, dict):
         raise ValueError("Algebra JSON must be an object.")
     where = "Algebra JSON"
     table = lambda key: tuple(map(tuple, _field(data, key, "a table of integers", where)))  # noqa: E731
     names = _field(data, "names", "a list of strings", where, None)
-    return FiniteAlgebra(
+    signature = _field(data, "signature", "a list of strings", where, None)
+    A = FiniteAlgebra(
         size=_field(data, "size", "an integer", where),
         meet=table("meet"),
         join=table("join"),
@@ -795,3 +797,6 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
         bang=tuple(_field(data, "bang", "a list of integers", where)) if "bang" in data else None,
         names=tuple(names) if names is not None else None,
     )
+    if signature is not None and set(signature) != A.signature:
+        raise ValueError(f"{where} field 'signature' must match the constants: {sorted(A.signature)}.")
+    return A

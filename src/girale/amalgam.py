@@ -145,9 +145,9 @@ def _member_embeddings(
     and lifted group embeddings between expansions (complete by uniqueness)."""
     _, src_alg, src_group = source
     _, tgt_alg, tgt_group = target
-    if src_group is None:
-        candidate = AlgHom(src_alg, tgt_alg, (tgt_alg.one,))
-        return [candidate] if not candidate.violations() else []
+    if src_group is None:  # 0, ! and each operation keep 1; a named bound is 1 only in T
+        unit = AlgHom(src_alg, tgt_alg, (tgt_alg.one,))
+        return [] if tgt_group is not None and signature & {"bot", "top"} else [unit]
     if tgt_group is None:
         return []
     return [

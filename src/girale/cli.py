@@ -47,7 +47,7 @@ from .proofs import (
     steps_from_json,
     validate_proof,
 )
-from .semantics import MODES, consequence, eval_formula, interpolant_search, valid
+from .semantics import MODES, consequence, eval_formula, interpolant_search
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -335,16 +335,15 @@ def _cmd_prove(args, inputs: _Inputs):
     if not exhaustive:  # a cut-free proof exists, deeper than the bound, so no countermodel
         payload["note"] = "search cut off at the bound; not a proof or a refutation"
         return EXIT_TRUE, payload
-    translated = sequent_to_formula(seq)
+    translated, catalog = sequent_to_formula(seq), _refutation_catalog()
     try:
-        for A in _refutation_catalog():
-            refutation = valid(A, translated)
-            if not refutation.holds:
-                assert refutation.countermodel is not None
-                payload["status"] = "refuted"
-                payload["countermodel"] = _named_assignment(A, refutation.countermodel)
-                payload["formula"] = render(translated)
-                return EXIT_FALSE, payload
+        refutation = consequence(catalog, [], translated)
+        if not refutation.holds:
+            A = catalog[refutation.algebra_index]
+            payload["status"] = "refuted"
+            payload["countermodel"] = _named_assignment(A, refutation.countermodel)
+            payload["formula"] = render(translated)
+            return EXIT_FALSE, payload
     except CapacityError:  # the exhaustive search has decided already
         pass
     payload["status"] = "unprovable"

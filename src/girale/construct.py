@@ -241,7 +241,7 @@ def member_K(A: FiniteAlgebra, query: KClassQuery) -> MembershipResult:
 
     A nontrivial member must pass ``split_R``, the shape of ``build_R``
     output, and the torsion quasi-equations.  A yes answer carries the
-    reconstructed group and a verified isomorphism, so it can be
+    reconstructed group and its isomorphism ``canon``, so it can be
     independently re-checked.  Pure, so results are cached, keyed on the
     element names too: algebra equality ignores them, but the group and
     ``canon.source`` carry them.  The shape check and the isomorphism do not
@@ -283,12 +283,12 @@ def _shape(A: FiniteAlgebra, names: tuple | None) -> MembershipResult:
         parts = split_R(A)
     except NotAnExpansion as failure:
         return MembershipResult(member=False, failed=failure.failed, witness=failure.witness)
+    # split_R's laws and sentence 1 fix every table and !a = a /\ 1; only 0 is left free
+    if A.zero not in (None, A.one):
+        return MembershipResult(member=False, parts=parts, failed="structure-mismatch")
     # the group indices in order, then bot and top: the layout of build_R
     layout = {a: i for i, a in enumerate(parts.to_algebra + (parts.bot, parts.top))}
     canon = AlgHom(A, build_R(parts.group, A.signature), tuple(map(layout.get, range(A.size))))
-    # a build_R output is its own rebuilt expansion: its canon is the identity, a hom
-    if not (canon.target is A and canon.mapping == tuple(range(A.size))) and canon.violations():
-        return MembershipResult(member=False, parts=parts, failed="structure-mismatch")
     return MembershipResult(member=True, parts=parts, canon=canon)
 
 

@@ -365,18 +365,9 @@ def abelian_group_catalog(max_order: int) -> list[tuple[int, ...]]:
     next; the empty chain is the trivial group.
     """
     out: list[tuple[int, ...]] = [()]
-
-    def extend(chain: tuple[int, ...], product: int) -> None:
-        last = chain[-1] if chain else 1
-        d = last if chain else 2
-        while product * d <= max_order:
-            if d % last == 0:
-                grown = chain + (d,)
-                out.append(grown)
-                extend(grown, product * d)
-            d += 1
-
-    extend((), 1)
+    for chain in out:  # the list is its own work list: a chain's extensions go on its end
+        step = chain[-1] if chain else 1  # the next factor is a multiple of the last
+        out += [chain + (d,) for d in range(max(step, 2), max_order // math.prod(chain) + 1, step)]
     return sorted(out, key=lambda c: (math.prod(c), c))
 
 

@@ -728,11 +728,10 @@ def extract_craig(
     left_proof = prove_sequent(left_sequent, reprove_bound)
     right_proof = prove_sequent(right_sequent, reprove_bound)
 
-    from .semantics import valid
+    from .semantics import consequence
 
     semantic_ok = all(
-        valid(A, sequent_to_formula(half)).holds
-        for A in _refutation_catalog()
+        consequence(_refutation_catalog(), [], sequent_to_formula(half)).holds
         for half in (left_sequent, right_sequent)
     )
     return CraigResult(

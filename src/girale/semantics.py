@@ -87,22 +87,26 @@ def _constant_index(A: FiniteAlgebra, symbol: str) -> int:
 
 
 def eval_formula(A: FiniteAlgebra, f: Formula, assignment: Mapping[str, int]) -> int:
-    """Bottom-up table evaluation of one assignment."""
+    """Bottom-up table evaluation of one assignment, every value of which is checked."""
+    for name, value in assignment.items():
+        if not 0 <= value < A.size:
+            raise ValueError(f"Assignment value {value} out of range for {name!r}.")
+    return _evaluate(A, f, assignment)
+
+
+def _evaluate(A: FiniteAlgebra, f: Formula, assignment: Mapping[str, int]) -> int:
     if isinstance(f, Var):
         if f.name not in assignment:
             raise ValueError(f"Unbound variable {f.name!r}.")
-        value = assignment[f.name]
-        if not 0 <= value < A.size:
-            raise ValueError(f"Assignment value {value} out of range for {f.name!r}.")
-        return value
+        return assignment[f.name]
     if isinstance(f, Const):
         return _constant_index(A, f.symbol)
     if isinstance(f, Bang):
         if A.bang is None:
             raise ValueError("Guard connective is not in the algebra signature.")
-        return A.bang[eval_formula(A, f.child, assignment)]
-    left = eval_formula(A, f.left, assignment)
-    right = eval_formula(A, f.right, assignment)
+        return A.bang[_evaluate(A, f.child, assignment)]
+    left = _evaluate(A, f.left, assignment)
+    right = _evaluate(A, f.right, assignment)
     table = {"and": A.meet, "or": A.join, "mul": A.mult, "imp": A.imp}[f.op]
     return table[left][right]
 
@@ -334,8 +338,8 @@ def consequence_slow(
     for index, A in enumerate(algebras):
         for values in itertools.product(range(A.size), repeat=len(variables)):
             h = dict(zip(variables, values))
-            if all(designated(A, eval_formula(A, p, h)) for p in premises):
-                if not designated(A, eval_formula(A, conclusion, h)):
+            if all(designated(A, _evaluate(A, p, h)) for p in premises):
+                if not designated(A, _evaluate(A, conclusion, h)):
                     return ConsequenceResult(False, index, h)
     return ConsequenceResult(True)
 

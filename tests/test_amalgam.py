@@ -1,9 +1,10 @@
 import pytest
 
-from girale.algebra import AlgHom, trivial_algebra
+from girale.algebra import OPTIONAL_SYMBOLS, AlgHom, trivial_algebra
 from girale.amalgam import (
     Amalgam,
     Span,
+    _member_embeddings,
     amalgamate,
     class_catalog,
     span_catalog,
@@ -267,3 +268,29 @@ def test_class_catalog_respects_sigma():
     members = class_catalog(PrimeSet.of(2), frozenset(), 7)
     labels = [label for label, _, _ in members]
     assert labels == ["T", "Z1", "Z3", "Z5", "Z7"]
+
+
+def test_unit_map_out_of_the_trivial_algebra(violation_calls):
+    """The unit map out of T embeds just when the target is T or the signature
+    names neither bound: _member_embeddings gives it exactly when its hom check
+    passes, and runs no hom check itself."""
+    signatures = [
+        frozenset(symbols)
+        for symbols in ((), ("0",), ("bang",), ("0", "bang"), ("bot",), ("top",), ("0", "bot", "top"))
+    ] + [frozenset(OPTIONAL_SYMBOLS)]
+    pairs = embedded = 0
+    for primes in (PrimeSet.of(2), PrimeSet.of(3), PrimeSet.of(5), PrimeSet.of(2, 5)):
+        for sig in signatures:
+            members = class_catalog(primes, sig, 7)
+            trivial = members[0]
+            assert trivial[2] is None and trivial[1].size == 1
+            for target in members:
+                violation_calls.clear()
+                found = _member_embeddings(trivial, target, sig)
+                assert violation_calls == []
+                unit = AlgHom(trivial[1], target[1], (target[1].one,))
+                assert found == ([] if unit.violations() else [unit])
+                pairs += 1
+                embedded += len(found)
+    # 24 targets per signature: all of them without bounds, only T with one
+    assert (pairs, embedded) == (8 * 24, 4 * 24 + 4 * 4)

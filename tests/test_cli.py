@@ -326,6 +326,8 @@ GROUP_PINNED = {
     "member-k-z2z4-p3": (["member-k", "--algebra", "z2z4.json", "--primes", "3"], 0),
     "member-k-z3-p3": (["member-k", "--algebra", "r_z3_full.json", "--primes", "3"], 1),
     "member-k-z4-p2-3": (["member-k", "--algebra", "r_z4_zero.json", "--primes", "2,3"], 1),
+    # R(Z3) over {0} with 0 moved from the unit to a: a structure mismatch, with no witness
+    "member-k-z3-zero-at-a-p2": (["member-k", "--algebra", "r_z3_zero_at_a.json", "--primes", "2"], 1),
 }
 
 
@@ -531,6 +533,11 @@ MALFORMED = {
     "primes-word": (["member-k", "--algebra", "{file}", "--primes", "2,x"], ALG),
     "group-word": (["build", "--group", "2,y"], None),
     "assign-out-of-range": (["eval", "--algebra", "{file}", "--formula", "x", "--assign", "x=9"], ALG),
+    "assign-unused-out-of-range": (
+        ["eval", "--algebra", "{file}", "--formula", "x", "--assign", "x=0,y=9"], ALG
+    ),
+    "algebra-signature-unknown": (["check-class", "--algebra", "{file}"], _with(ALG, signature=["nonsense"])),
+    "algebra-signature-short": (["check-class", "--algebra", "{file}"], _with(ALG, signature=["0", "bot"])),
     "assign-no-equals": (["eval", "--algebra", "{file}", "--formula", "x", "--assign", "x"], ALG),
     "derivation-system-number": (["check-proof", "--file", "{file}"], {"steps": [], "system": 3}),
     "derivation-premise-number": (["check-proof", "--file", "{file}"], {"steps": [], "premises": [1]}),
@@ -562,6 +569,9 @@ ERROR_SAYS = {
     "span-not-object": "Span file must be a JSON object.",
     "assign-unknown": "Unknown element 'b'.",
     "assign-out-of-range": "Assignment value 9 out of range for 'x'.",
+    "assign-unused-out-of-range": "Assignment value 9 out of range for 'y'.",
+    "algebra-signature-unknown": "field 'signature' must match the constants: ['0', 'bang', 'bot', 'top'].",
+    "algebra-signature-short": "field 'signature' must match the constants: ['0', 'bang', 'bot', 'top'].",
     "group-names-short": "element_names length does not match group size.",
 }
 
@@ -613,16 +623,17 @@ def test_key_error_is_an_internal_error(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, document, keys",
     [
-        (["check-class", "--algebra", "{file}"], ALG, ("zero", "names")),
-        (["member-k", "--algebra", "{file}", "--primes", "3"], ALG, ("zero", "names")),
+        (["check-class", "--algebra", "{file}"], ALG, ("zero", "signature", "names")),
+        (["member-k", "--algebra", "{file}", "--primes", "3"], ALG, ("zero", "signature", "names")),
         (["eval", "--algebra", "{file}", "--formula", "x * y", "--assign", "x=1,y=2"], ALG,
-         ("zero", "names")),
+         ("zero", "signature", "names")),
         (["build", "--group-file", "{file}", "--sig", "full"],
          {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["1", "a", "a2"]}, ("names",)),
     ],
 )
 def test_null_optional_field_reads_as_absent(tmp_path, capsys, argv, document, keys):
-    """A null zero, bot, top or names is the field left out: same output, same exit."""
+    """A null zero, bot, top, signature or names is the field left out: same output,
+    same exit.  The signature goes with the zero, which it names."""
     nulled = _with(document, **dict.fromkeys(keys))
     absent = {k: v for k, v in document.items() if k not in keys}
     outputs = []

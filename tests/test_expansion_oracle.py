@@ -9,6 +9,7 @@ pass their laws, and on algebras that fail them.
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -183,49 +184,65 @@ def test_member_K_matches_reference_under_each_prime_set_in_turn():
     assert construct._shape.cache_info().misses == len({(A, A.names) for A in FAMILY})
 
 
-def _catalog_expansions():
-    """The nontrivial members of the order <= 7 class catalogs, each a build_R output."""
-    return [
-        (primes, A)
-        for primes in PRIME_SETS
-        for sig in SIGNATURES
-        for _, A, group in class_catalog(primes, sig, 7)
-        if group is not None
-    ]
+def _shuffled(A, seed):
+    new = list(range(A.size))
+    random.Random(seed).shuffle(new)
+    return _relabelled(A, new)
 
 
-def test_member_K_skips_only_the_check_of_an_identity_canon(violation_calls):
-    """A build_R output is its own rebuilt expansion, so its canon is the
-    identity and member_K runs no hom check on it; the oracle's check of that
-    canon finds nothing."""
+def _zero_and_bang_edits():
+    """The expansions of order <= 12 in six signatures, each copy with 0 moved
+    to another element and each with one value of ! changed, kept when they
+    pass their laws; a shuffled and a reversed copy of each; and FAMILY with a
+    shuffled copy of each of its algebras."""
+    base = []
+    for chain in abelian_group_catalog(12):
+        for sig in SIGNATURES + (frozenset({"bang"}), frozenset({"0", "bang"})):
+            A = build_R(make_group(chain or [1]), sig)
+            base.append(A)
+            if A.zero is not None:
+                base += [dataclasses.replace(A, zero=z) for z in range(A.size) if z != A.zero]
+            for a, b in itertools.product(range(A.size), repeat=2) if A.bang is not None else ():
+                if b != A.bang[a]:
+                    bang = A.bang[:a] + (b,) + A.bang[a + 1:]
+                    base.append(dataclasses.replace(A, bang=bang))
+    base = [A for A in base if check_signature_laws(A).passed]
+    return (
+        base
+        + [_shuffled(A, seed) for seed, A in enumerate(base)]
+        + [_reversed(A) for A in base]
+        + FAMILY
+        + [_shuffled(A, seed) for seed, A in enumerate(FAMILY)]
+    )
+
+
+def test_structure_mismatch_is_zero_off_the_unit(violation_calls):
+    """Once split_R takes an algebra apart, its canonical map onto the rebuilt
+    expansion is a homomorphism just when 0 is absent or the unit: member_K
+    decides structure-mismatch so, with no hom check of its own, and each of
+    its verdicts is the reference's.  No edit of ! passes the laws, and a
+    build_R output is a member whose canon is the identity."""
     member_K.cache_clear()
-    checked = 0
-    for primes, A in _catalog_expansions():
-        result = member_K(A, KClassQuery(primes, A.signature))
-        assert result.member and result.canon.source is result.canon.target is A
-        assert result.canon.mapping == tuple(range(A.size))
-        assert violation_calls == []
-        assert result.canon.violations() == []
+    accepted = mismatched = rebuilt = 0
+    for A in _zero_and_bang_edits():
+        try:
+            parts = split_R(A)
+        except ValueError:
+            continue
         violation_calls.clear()
-        checked += 1
-    assert checked == 80
-
-
-def test_member_K_checks_the_canon_of_a_relabelled_expansion(violation_calls):
-    """A permuted copy of each catalog expansion gets the full hom check on its
-    canon, and its verdict, parts and canon are the reference's."""
-    checked = 0
-    for primes, A in _catalog_expansions():
-        n = A.size
-        for new in ([n - 1 - a for a in range(n)], [(a + 1) % n for a in range(n)]):
-            B = _relabelled(A, new)
-            member_K.cache_clear()
-            violation_calls.clear()
-            canon = member_K(B, KClassQuery(primes, B.signature)).canon
-            assert canon.mapping != tuple(range(n)) and violation_calls == [canon]
-            assert _new_verdict(B, primes) == ref.member_K(B, primes)
-            checked += 1
-    assert checked == 160
+        for primes in (PrimeSet.of(2), PrimeSet.of(13)):
+            assert _new_verdict(A, primes) == ref.member_K(A, primes)
+        mismatch = member_K(A, KClassQuery(PrimeSet.of(13), A.signature)).failed is not None
+        assert violation_calls == []
+        layout = {a: i for i, a in enumerate(parts.to_algebra + (parts.bot, parts.top))}
+        canon = AlgHom(A, build_R(parts.group, A.signature), tuple(map(layout.get, range(A.size))))
+        assert mismatch == bool(canon.violations()) == (A.zero not in (None, A.one))
+        if canon.target == A:
+            assert not mismatch and canon.mapping == tuple(range(A.size))
+            rebuilt += 1
+        accepted += 1
+        mismatched += mismatch
+    assert (accepted, mismatched, rebuilt) == (2286, 1476, 248)
 
 
 def test_split_R_is_the_shape_check():

@@ -7,10 +7,14 @@ B <- A -> C with |B|*|C| <= 64 must give the reference's quotient table,
 names and legs.  The invariant factors, read from element-order counts, must
 equal the reference's per-prime partitions also on relabelled tables, and
 ``is_essential``, which looks only at elements of prime order, must equal the
-definition over every subgroup.
+definition over every subgroup.  The catalog of invariant-factor chains must
+equal every chain found by brute force, and leave nothing to the cyclic
+garbage collector.
 """
 
+import gc
 import itertools
+import math
 import random
 
 import pytest
@@ -139,3 +143,36 @@ def test_is_essential_matches_definition():
                 count += 1
                 essential += expected
     assert count == 24033 and 0 < essential < count
+
+
+def test_abelian_group_catalog_is_every_chain():
+    """For each bound up to 129, the catalog is every tuple of factors >= 2,
+    each dividing the next, whose product is at most the bound, ordered by
+    product and then by the tuple."""
+    chains = [()]
+    for length in range(1, 8):  # a product <= 129 has at most 7 factors >= 2
+        top = 129 // 2 ** (length - 1)
+        for chain in itertools.product(range(2, top + 1), repeat=length):
+            if math.prod(chain) <= 129 and all(b % a == 0 for a, b in zip(chain, chain[1:])):
+                chains.append(chain)
+    chains.sort(key=lambda c: (math.prod(c), c))
+    for max_order in range(130):  # the trivial group is in every catalog, even at bound 0
+        expected = [c for c in chains if math.prod(c) <= max(max_order, 1)]
+        assert abelian_group_catalog(max_order) == expected
+    # one group for each of the 11 squarefree orders, 2 of orders 4, 9 and 12, 3 of 8, 5 of 16
+    assert len(abelian_group_catalog(16)) == 11 + 2 * 3 + 3 + 5
+
+
+def test_abelian_group_catalog_leaves_no_cycle():
+    """Reference counting alone frees what a call builds: the cyclic collector
+    stays off and finds nothing after ten calls."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(10):
+            abelian_group_catalog(7)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
