@@ -566,6 +566,16 @@ def _preservation_violations(h: Sequence[int], ops: _Ops) -> list[Violation]:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _hom_violations(
+    ops_of: Callable[..., _Ops], source, target, mapping: tuple[int, ...]
+) -> tuple[Violation, ...]:
+    """``_preservation_violations`` of a map between two structures, once per
+    distinct map: the key holds every field the check reads, so an equal map
+    between equal structures, names aside, shares the answer."""
+    return tuple(_preservation_violations(mapping, ops_of(source, target)))
+
+
 def _search_homs(
     ops: _Ops, allowed: Sequence[Sequence[int]], injective_only: bool
 ) -> list[tuple[int, ...]]:
@@ -630,12 +640,17 @@ def _search_homs(
 
 class _Hom:
     """A map between the carriers of two finite structures, given by index;
-    its dataclass holds ``source``, ``target`` and ``mapping``."""
+    its dataclass holds ``source``, ``target`` and ``mapping``.  Every kind of
+    map reads one memo of hom checks, which ``cache_clear`` empties."""
+
+    cache_clear = staticmethod(_hom_violations.cache_clear)
 
     def __post_init__(self) -> None:
         if len(self.mapping) != self.source.size:
             raise ValueError("Mapping length does not match source size.")
         for v in self.mapping:
+            if type(v) is not int:
+                raise ValueError(f"Mapping value {v!r} must be an integer.")
             if not 0 <= v < self.target.size:
                 raise ValueError(f"Mapping value {v} out of target range.")
 
@@ -647,17 +662,12 @@ class _Hom:
 
     def require_embedding(self, who: str) -> None:
         """Raise ValueError naming ``who`` unless the map is an injective homomorphism.
-
-        The map is frozen, so a passed check is kept on it and not run again.
-        """
-        if getattr(self, "_embedding", False):
-            return
+        The hom check is ``violations``, so it runs once per distinct map."""
         if not self.is_injective():
             raise ValueError(f"{who} is not injective.")
         bad = self.violations()
         if bad:
             raise ValueError(f"{who} is not a homomorphism ({bad[0].describe()}).")
-        object.__setattr__(self, "_embedding", True)
 
 
 @dataclass(frozen=True)
@@ -668,7 +678,7 @@ class AlgHom(_Hom):
 
     def violations(self) -> list[Violation]:
         """Failures to preserve the operations and constants of the common signature."""
-        return _preservation_violations(self.mapping, _alg_ops(self.source, self.target))
+        return list(_hom_violations(_alg_ops, self.source, self.target, tuple(self.mapping)))
 
 
 def enumerate_homs(

@@ -185,7 +185,9 @@ def span_catalog(
 
 
 def verify_amalgam(span: Span, amalgam: Amalgam, strong: bool = False) -> AmalgamReport:
-    """Re-check every amalgam requirement from the raw tables; nothing is trusted."""
+    """Re-check every amalgam requirement from the raw tables; nothing is trusted.
+    Each of the four maps is asked for its violations, which the hom-check memo
+    computes once per distinct map and process."""
     checks: list[CheckItem] = []
 
     for name, hom in (

@@ -17,6 +17,7 @@ from .algebra import (
     AlgHom,
     FiniteAlgebra,
     OPTIONAL_SYMBOLS,
+    Table,
     check_signature_laws,
     residuals_from_mult,
     signature_of,
@@ -132,22 +133,31 @@ def split_R(A: FiniteAlgebra) -> RParts:
     The order of the checks fixes the reported failure: the class laws (a
     plain ValueError), then unit-is-a-bound, sentence 1 (every interior
     element is invertible) and the group laws on the interior (each a
-    ``NotAnExpansion``).
+    ``NotAnExpansion``).  The laws are checked per algebra; what follows
+    them reads no optional symbol, so it is kept per table set and names and
+    the signature variants of one expansion share it.  A failure is raised
+    again on each call and never kept.
     """
     laws = check_signature_laws(A)
     if not laws.passed:
         raise ValueError(f"Algebra fails its class laws: {laws.summary()}.")
+    return _split_tables(A.meet, A.join, A.mult, A.imp, A.one, A.names)
+
+
+@lru_cache(maxsize=4096)
+def _split_tables(
+    meet: Table, join: Table, mult: Table, imp: Table, one: int, names: tuple | None
+) -> RParts:
     bot = top = 0
-    for a in range(A.size):
-        bot = A.meet[bot][a]
-        top = A.join[top][a]
-    one = A.one
+    for a in range(len(meet)):
+        bot = meet[bot][a]
+        top = join[top][a]
     if one in (bot, top):
         raise NotAnExpansion("unit-is-a-bound", (one,))
 
-    interior = tuple(a for a in range(A.size) if a not in (bot, top))
+    interior = tuple(a for a in range(len(meet)) if a not in (bot, top))
     for x in interior:
-        if A.mult[x][A.imp[x][one]] != one:
+        if mult[x][imp[x][one]] != one:
             raise NotAnExpansion("sentence-1", (x,))
     # Sentence 1 pins the flat order and the absorbing top.  Each interior x is
     # invertible, so x * - is an order automorphism; a finite algebra has no
@@ -156,9 +166,9 @@ def split_R(A: FiniteAlgebra) -> RParts:
     # and x * top = top, as x * top > x.  And x * y on a bound would put
     # y = (x -> 1) * (x * y) on it, so the interior is closed under the product.
     index = {a: i for i, a in enumerate(interior)}
-    table = [[index[A.mult[a][b]] for b in interior] for a in interior]
+    table = [[index[mult[a][b]] for b in interior] for a in interior]
     try:
-        group = group_from_table(table, [A.name_of(a) for a in interior])
+        group = group_from_table(table, [f"e{a}" if names is None else names[a] for a in interior])
     except ValueError:
         raise NotAnExpansion("group-laws") from None
     return RParts(bot=bot, top=top, group=group, to_algebra=interior)
@@ -295,6 +305,7 @@ def _shape(A: FiniteAlgebra, names: tuple | None) -> MembershipResult:
 def _clear_member_K() -> None:
     _member_K.cache_clear()
     _shape.cache_clear()
+    _split_tables.cache_clear()
 
 
 member_K.cache_info = _member_K.cache_info  # type: ignore[attr-defined]

@@ -25,8 +25,8 @@ from .algebra import (
     _Ops,
     _associative,
     _field,
+    _hom_violations,
     _index_dtype,
-    _preservation_violations,
     _product_table,
     _row_blocks,
     _search_homs,
@@ -262,7 +262,7 @@ class GroupHom(_Hom):
 
     def violations(self) -> list[Violation]:
         """Failures to preserve the identity (``hom-identity``) or the product (``hom-mult``)."""
-        return _preservation_violations(self.mapping, _group_ops(self.source, self.target))
+        return list(_hom_violations(_group_ops, self.source, self.target, tuple(self.mapping)))
 
 
 def _group_ops(source: FiniteGroup, target: FiniteGroup) -> _Ops:

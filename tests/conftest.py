@@ -1,5 +1,6 @@
 import pytest
 
+from girale import algebra
 from girale.algebra import AlgHom, FiniteAlgebra
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import abelian_group_catalog, make_group
@@ -45,4 +46,17 @@ def violation_calls(monkeypatch):
     calls = []
     violations = AlgHom.violations
     monkeypatch.setattr(AlgHom, "violations", lambda self: calls.append(self) or violations(self))
+    return calls
+
+
+@pytest.fixture
+def hom_checks(monkeypatch):
+    """The mappings whose hom check is computed during the test, in call order,
+    starting from an empty memo: ``violations`` answers the rest from it."""
+    calls = []
+    check = algebra._preservation_violations
+    monkeypatch.setattr(
+        algebra, "_preservation_violations", lambda h, ops: calls.append(h) or check(h, ops)
+    )
+    AlgHom.cache_clear()
     return calls

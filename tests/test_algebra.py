@@ -3,11 +3,15 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girale.algebra import (
     AlgHom,
     FiniteAlgebra,
     NotResiduated,
+    _alg_ops,
+    _preservation_violations,
     algebra_from_json,
     algebra_to_json,
     check_class,
@@ -22,7 +26,7 @@ from girale.algebra import (
     trivial_algebra,
 )
 from girale.construct import SIGNATURE_FULL, build_R
-from girale.group import make_group
+from girale.group import GroupHom, _group_ops, abelian_group_catalog, make_group
 
 from tests.conftest import bounded_involutive_chain
 from tests.reference_kernel import is_congruence, refines
@@ -305,20 +309,62 @@ def test_constructor_checks_every_table_with_the_same_messages():
         dataclasses.replace(algebra, bang=algebra.bang[:4])
 
 
-def test_require_embedding_runs_once_per_map_and_never_remembers_a_failure(violation_calls):
+def test_hom_check_runs_once_per_distinct_map_and_a_failure_raises_each_time(hom_checks):
+    """The hom check is computed once per (source, target, mapping): for equal
+    but distinct map objects, for algebras that differ only in names, and for
+    group maps alike.  A failing map raises the same message on every call."""
     algebra = R(Z3)
-    embedding = AlgHom(algebra, algebra, tuple(range(algebra.size)))
+    renamed = dataclasses.replace(algebra, names=tuple(f"n{a}" for a in range(algebra.size)))
+    identity = tuple(range(algebra.size))
+    for source, target in ((algebra, algebra), (renamed, algebra), (algebra, renamed)):
+        for _ in range(3):
+            AlgHom(source, target, identity).require_embedding("The identity")
+            assert AlgHom(source, target, identity).violations() == []
     for _ in range(3):
-        embedding.require_embedding("The identity")
-    assert len(violation_calls) == 1
+        GroupHom(Z3, Z3, (0, 1, 2)).require_embedding("The group identity")
+    assert hom_checks == [identity, (0, 1, 2)]
     mapping = list(range(algebra.size))
     mapping[0], mapping[1] = mapping[1], mapping[0]
-    for who, bad in (("A swap", AlgHom(algebra, algebra, tuple(mapping))),
-                     ("A collapse", AlgHom(algebra, trivial_algebra(), (0,) * algebra.size))):
+    for who, image, values in (("A swap", algebra, tuple(mapping)),
+                               ("A collapse", trivial_algebra(), (0,) * algebra.size)):
+        messages = set()
         for _ in range(3):
-            with pytest.raises(ValueError, match=f"^{who} is not"):
-                bad.require_embedding(who)
-    assert len(violation_calls) == 1 + 3  # the collapse fails injectivity before any hom check
+            with pytest.raises(ValueError, match=f"^{who} is not") as caught:
+                AlgHom(algebra, image, values).require_embedding(who)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+    # the collapse fails injectivity before any hom check
+    assert hom_checks == [identity, (0, 1, 2), tuple(mapping)]
+
+
+_CATALOG = [R(make_group(chain or [1]), sig)
+            for chain in abelian_group_catalog(4) for sig in (frozenset(), SIGNATURE_FULL)]
+_GROUPS = [make_group(chain or [1]) for chain in abelian_group_catalog(6)]
+
+
+def _maps_between(structures):
+    def mapping(pair):
+        source, target = pair
+        return st.tuples(*[st.integers(0, target.size - 1)] * source.size).map(
+            lambda h: (source, target, h)
+        )
+    return st.tuples(st.sampled_from(structures), st.sampled_from(structures)).flatmap(mapping)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_maps_between(_CATALOG), _maps_between(_GROUPS)))
+def test_memoised_violations_match_a_fresh_check(case):
+    """For random maps between catalog algebras and between groups, violations()
+    from the memo, asked twice and on a renamed source, is the fresh check."""
+    source, target, h = case
+    if isinstance(source, FiniteAlgebra):
+        hom, ops = AlgHom, _alg_ops(source, target)
+        sources = [source, dataclasses.replace(source, names=tuple(f"m{a}" for a in range(source.size)))]
+    else:
+        hom, ops, sources = GroupHom, _group_ops(source, target), [source]
+    fresh = _preservation_violations(h, ops)
+    for _ in range(2):
+        assert all(hom(s, target, h).violations() == fresh for s in sources)
 
 
 def test_pickle_round_trip_builds_a_fresh_algebra(monkeypatch):

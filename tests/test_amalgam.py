@@ -132,19 +132,30 @@ def test_span_rejects_bad_forms_when_built():
         Span(b, b, t, identity(b), collapse)
 
 
-def test_verify_amalgam_checks_all_four_maps_of_a_checked_span(violation_calls):
-    """Building a span checks each leg once; verify_amalgam, the oracle, checks
-    every map again, and a second span on the same legs checks none."""
+def test_verify_amalgam_consults_all_four_maps_of_a_checked_span(violation_calls, hom_checks):
+    """Building a span checks each leg once, and a second span on the same legs
+    checks none.  verify_amalgam, the oracle, asks every map again and the memo
+    computes only the amalgam's maps, once each; a corrupted psi1 that follows a
+    clean verify is still rejected."""
     query = KClassQuery(PrimeSet.of(2), frozenset())
-    b = build_R(Z3)
-    legs = [identity(b), identity(b)]
-    span = Span(b, b, b, *legs)
+    b, c = build_R(Z3), build_R(Z5)
+    legs = [unit_map(b), unit_map(c)]
+    span = Span(trivial_algebra(), b, c, *legs)
+    assert hom_checks == [legs[0].mapping, legs[1].mapping]
     amalgam = amalgamate(span, query)
     violation_calls.clear()
-    Span(b, b, b, *legs)
-    assert violation_calls == []
-    assert verify_amalgam(span, amalgam).passed
-    assert violation_calls == [span.phi1, span.phi2, amalgam.psi1, amalgam.psi2]
+    hom_checks.clear()
+    Span(trivial_algebra(), b, c, *legs)
+    assert hom_checks == []
+    for _ in range(2):
+        violation_calls.clear()
+        assert verify_amalgam(span, amalgam).passed
+        assert violation_calls == [span.phi1, span.phi2, amalgam.psi1, amalgam.psi2]
+    assert hom_checks == [amalgam.psi1.mapping, amalgam.psi2.mapping]
+    mapping = list(amalgam.psi1.mapping)
+    mapping[0], mapping[-1] = mapping[-1], mapping[0]
+    corrupt = Amalgam(amalgam.D, AlgHom(b, amalgam.D, tuple(mapping)), amalgam.psi2)
+    assert "psi1-hom" in {item.name for item in verify_amalgam(span, corrupt).failures()}
 
 
 def test_catalog_spans_build():

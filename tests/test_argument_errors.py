@@ -34,6 +34,13 @@ ERRORS = {
     "hom-value-out-of-range": (
         lambda: GroupHom(Z2, Z2, (0, 5)), ValueError, "Mapping value 5 out of target range",
     ),
+    # a mapping value equal to an integer is still no index: no float, no bool
+    "hom-value-float": (
+        lambda: AlgHom(R_FULL, R_FULL, (0.0, 1, 2, 3)), ValueError, "Mapping value 0.0 must be an integer",
+    ),
+    "hom-value-bool": (
+        lambda: GroupHom(Z2, Z2, (False, True)), ValueError, "Mapping value False must be an integer",
+    ),
     "enumerate-homs-signatures": (
         lambda: enumerate_homs(R_FULL, R_NONE), ValueError, "needs matching signatures",
     ),

@@ -473,6 +473,20 @@ def test_catalog_command(capsys):
     assert doc["result"]["spans"]["count"] > 0
 
 
+# the amalgamation sweep's verdicts through the CLI: every span of the class
+# catalog up to order 7 in the four default signatures, amalgamated and verified
+CATALOG_SPANS_PINNED = {f"catalog-spans-p{p.replace(',', '-')}-o7": p for p in ("2", "5", "2,5")}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SPANS_PINNED))
+def test_catalog_spans_output_pinned(capsys, name):
+    """Byte-identical --json for catalog --spans."""
+    argv = ["catalog", "--primes", CATALOG_SPANS_PINNED[name], "--max-order", "7", "--spans"]
+    code, out = invoke(capsys, argv + ["--json"])
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / f"{name}.json").read_text()
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["build", "--sig", "none"]) == 2
     assert run(["nonsense"]) == 2

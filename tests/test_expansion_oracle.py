@@ -280,6 +280,67 @@ def test_split_R_rejects_failed_laws():
             ref.member_K(broken, primes)
 
 
+def test_split_R_keeps_its_group_part_per_table_set():
+    """After the law check, split_R's work is kept per table set and names:
+    member_K.cache_clear() empties it, and over FAMILY each kept answer is
+    computed once while each failure is computed again on every call."""
+    member_K.cache_clear()
+    assert construct._split_tables.cache_info().currsize == 0
+    kept, raised = set(), 0
+    for A in FAMILY + FAMILY:
+        if not check_signature_laws(A).passed:
+            continue
+        try:
+            split_R(A)
+        except NotAnExpansion:
+            raised += 1
+        else:
+            kept.add((A.meet, A.join, A.mult, A.imp, A.one, A.names))
+    info = construct._split_tables.cache_info()
+    assert raised and (info.misses, info.currsize) == (len(kept) + raised, len(kept))
+
+
+def test_signature_variants_share_one_group_part(monkeypatch):
+    """The four signature variants of one expansion build its group once."""
+    calls = []
+    group_from_table = construct.group_from_table
+    monkeypatch.setattr(
+        construct, "group_from_table", lambda *a: calls.append(a) or group_from_table(*a)
+    )
+    member_K.cache_clear()
+    group = make_group([2, 4])
+    parts = [split_R(build_R(group, sig)) for sig in SIGNATURES]
+    assert len(calls) == 1
+    assert all(p == parts[0] for p in parts) and parts[0].group == group
+
+
+def test_split_R_raises_each_failure_on_every_call(monkeypatch):
+    """A sentence-1 or group-laws failure is raised again on every call, and a
+    later call that passes is not answered by an earlier failure."""
+    member_K.cache_clear()
+    sentence_1 = next(
+        A for A in FAMILY
+        if check_signature_laws(A).passed and ref.member_K(A, PrimeSet.of(2))[2] == "sentence-1"
+    )
+    for _ in range(3):
+        with pytest.raises(NotAnExpansion, match="sentence-1"):
+            split_R(sentence_1)
+    calls = []
+
+    def no_group(*args):
+        calls.append(args)
+        raise ValueError("not a group")
+
+    monkeypatch.setattr(construct, "group_from_table", no_group)
+    A = build_R(make_group([3]), SIGNATURE_FULL)
+    for _ in range(3):
+        with pytest.raises(NotAnExpansion, match="group-laws"):
+            split_R(A)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert split_R(A).group == make_group([3])
+
+
 def test_one_restriction_on_reversed_expansions():
     """restrict_embedding, which also gives the amalgamation legs, reads the
     embedding on the interiors of expansions whose group does not sit at 0..n-1."""
