@@ -13,10 +13,7 @@ from .algebra import (
     check_class,
     check_signature_laws,
     congruence_set,
-    direct_product,
     enumerate_homs,
-    girale_expand,
-    negative_cone,
     residuals_from_mult,
     trivial_algebra,
 )
@@ -36,7 +33,6 @@ from .group import (
     GroupHom,
     PrimeSet,
     check_sigma,
-    is_essential,
     make_group,
     pushout,
 )

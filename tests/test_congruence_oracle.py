@@ -20,14 +20,18 @@ from girale.algebra import (
     OPTIONAL_SYMBOLS,
     FiniteAlgebra,
     congruence_set,
-    direct_product,
-    negative_cone,
     trivial_algebra,
 )
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import abelian_group_catalog, make_group
 
-from tests.reference_kernel import congruence_set_reference, is_congruence, is_fsi
+from tests.reference_kernel import (
+    congruence_set_reference,
+    direct_product,
+    is_congruence,
+    is_fsi,
+    negative_cone,
+)
 
 GROUPS12 = [make_group(chain or [1]) for chain in abelian_group_catalog(12)]
 ALL_SIGNATURES = [

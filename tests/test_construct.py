@@ -6,7 +6,6 @@ from girale import construct
 from girale.algebra import (
     AlgHom,
     check_signature_laws,
-    direct_product,
     enumerate_homs,
     trivial_algebra,
 )
@@ -23,6 +22,8 @@ from girale.construct import (
     split_R,
 )
 from girale.group import GroupHom, PrimeSet, abelian_group_catalog, check_sigma, group_homs, make_group
+
+from tests.reference_kernel import direct_product
 
 Z2 = make_group([2])
 Z3 = make_group([3])

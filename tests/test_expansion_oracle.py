@@ -18,8 +18,6 @@ from girale.algebra import (
     OPTIONAL_SYMBOLS,
     AlgHom,
     check_signature_laws,
-    direct_product,
-    negative_cone,
     trivial_algebra,
 )
 from girale.amalgam import class_catalog
@@ -90,10 +88,10 @@ def _non_members():
     z1, z2, z3 = (make_group([d]) for d in (1, 2, 3))
     out = [bounded_involutive_chain()]
     for sig in SIGNATURES:
-        out.append(direct_product(build_R(z2, sig), build_R(z3, sig)))
-        out.append(direct_product(build_R(z1, sig), build_R(z1, sig)))
-    out.append(negative_cone(build_R(z3)))
-    out.append(negative_cone(direct_product(build_R(z2), build_R(z2))))
+        out.append(ref.direct_product(build_R(z2, sig), build_R(z3, sig)))
+        out.append(ref.direct_product(build_R(z1, sig), build_R(z1, sig)))
+    out.append(ref.negative_cone(build_R(z3)))
+    out.append(ref.negative_cone(ref.direct_product(build_R(z2), build_R(z2))))
     for sig in (frozenset({"0"}), SIGNATURE_FULL):
         for group in (z2, z3, make_group([2, 2])):
             A = build_R(group, sig)
