@@ -10,6 +10,7 @@ witness tuples; loops run only to build an error once an array shows one.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -17,12 +18,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .capacity import guard
+from .capacity import CapacityError, guard
 
 Table = tuple[tuple[int, ...], ...]
 
 OPTIONAL_SYMBOLS = ("0", "bot", "top", "bang")
 CLASS_TAGS = ("crl", "prl", "bounded_prl", "a_algebra", "girale")
+MAX_HOMS = 4096  # hom enumeration stops past this many maps: its answer bounds its work
 
 # tag -> (symbols the class needs, groups of LAWS it checks)
 _TAGS = {
@@ -32,6 +34,15 @@ _TAGS = {
     "a_algebra": (frozenset({"0", "bot", "top"}), {"core", "bounds", "negation"}),
     "girale": (frozenset({"0", "bot", "top", "bang"}), {"core", "bounds", "negation", "bang"}),
 }
+
+
+def _check_indices(rows: Sequence[Sequence], n: int, what: str) -> None:
+    """Raise ValueError naming ``what`` unless each value is an int in range(n), in C if n <= 256."""
+    with contextlib.suppress(TypeError, ValueError):
+        if n <= 256 and not b"".join(map(bytes, rows)).translate(None, bytes(range(n))):
+            return
+    if not all(isinstance(v, int) and 0 <= v < n for row in rows for v in row):
+        raise ValueError(f"{what} out of range or not an integer.")
 
 
 @dataclass(frozen=True)
@@ -54,15 +65,15 @@ class FiniteAlgebra:
             table = getattr(self, label)
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"{label} table is not {n}x{n}.")
-            if n and not (0 <= min(map(min, table)) and max(map(max, table)) < n):
-                raise ValueError(f"{label} table entry out of range.")
+            _check_indices(table, n, f"{label} table entry")
         for label in ("one", "zero", "bot", "top"):
             v = getattr(self, label)
-            if (v is not None or label == "one") and v not in range(n):
-                raise ValueError(f"Constant {label}={v} out of range.")
+            if (v is not None or label == "one") and not (isinstance(v, int) and 0 <= v < n):
+                raise ValueError(f"Constant {label}={v} out of range or not an integer.")
         if self.bang is not None:
-            if len(self.bang) != n or any(not 0 <= v < n for v in self.bang):
+            if len(self.bang) != n:
                 raise ValueError("bang table malformed.")
+            _check_indices((self.bang,), n, "bang table entry")
         if self.names is not None and len(self.names) != n:
             raise ValueError("names length does not match size.")
 
@@ -397,7 +408,7 @@ class CongruenceSet:
         return not above or reduce(meet_partitions, above) != delta
 
 
-def congruence_set(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:
+def congruence_set(A: FiniteAlgebra) -> CongruenceSet:
     """All congruences, by closing the principal ones under pairwise joins.
 
     Two facts spare most of the propagation (Freese, *Computing congruences
@@ -407,7 +418,7 @@ def congruence_set(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:
     none of its pairs.  Con(A) <= Eq(A) is a sublattice: so two congruences
     join as equivalences, by union-find over their blocks.
     """
-    guard(A.size, "congruence computation", max_size)
+    guard(A.size, "congruence computation")
     n = A.size
     known: dict[tuple[int, int], Partition] = {}
     for a in range(n):
@@ -529,7 +540,7 @@ def _search_homs(
         return True
 
     def search(mapping: list[int], new: list[int]) -> None:
-        if not close(mapping, new):
+        if len(results) > MAX_HOMS or not close(mapping, new):
             return
         assigned = [v for v in mapping if v >= 0]
         if injective_only and len(set(assigned)) != len(assigned):
@@ -546,6 +557,8 @@ def _search_homs(
 
     search(seed, sorted({a for _, a, _ in ops.constants}))
     del search  # else its own cell keeps it, and close, in a cycle for the collector
+    if len(results) > MAX_HOMS:
+        raise CapacityError(f"Hom enumeration finds more than {MAX_HOMS} maps.")
     return results
 
 
@@ -596,13 +609,10 @@ class AlgHom(_Hom):
 
 
 def enumerate_homs(
-    source: FiniteAlgebra,
-    target: FiniteAlgebra,
-    injective_only: bool = False,
-    max_size: int = 16,
+    source: FiniteAlgebra, target: FiniteAlgebra, injective_only: bool = False
 ) -> list[AlgHom]:
     """Every map preserving all operations and constants, by guided backtracking."""
-    guard(source.size, "hom enumeration", max_size)
+    guard(max(source.size, target.size), "hom enumeration")
     if source.signature != target.signature:
         raise ValueError("Hom enumeration needs matching signatures.")
     allowed = [range(target.size)] * source.size
@@ -698,7 +708,7 @@ def _field(data: dict, key: str, kind: str, where: str, default=_REQUIRED):
 def algebra_from_json(data: dict) -> FiniteAlgebra:
     """Load an algebra object, raising ValueError naming the bad field.
 
-    Shape and types are checked here, table sizes and ranges by FiniteAlgebra.
+    Shape, types and the size bound are checked here, tables by FiniteAlgebra.
     A null zero, bot, top or names reads as absent; a null bang is rejected.
     A ``signature``, when given, must be the one the constants give.
     """
@@ -708,8 +718,10 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     table = lambda key: tuple(map(tuple, _field(data, key, "a table of integers", where)))  # noqa: E731
     names = _field(data, "names", "a list of strings", where, None)
     signature = _field(data, "signature", "a list of strings", where, None)
+    size = _field(data, "size", "an integer", where)
+    guard(size, "algebra")
     A = FiniteAlgebra(
-        size=_field(data, "size", "an integer", where),
+        size=size,
         meet=table("meet"),
         join=table("join"),
         mult=table("mult"),

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import AlgHom, FiniteAlgebra, trivial_algebra
+from .capacity import guard
 from .construct import (
     KClassQuery, MembershipResult, build_R, lift_embedding, member_K, restrict_embedding
 )
@@ -125,6 +126,7 @@ def class_catalog(
 
     Entries are (label, algebra, group); the trivial algebra carries None.
     """
+    guard(max_order, "catalog group")
     members: list[tuple[str, FiniteAlgebra, FiniteGroup | None]] = [
         ("T", trivial_algebra(signature), None)
     ]

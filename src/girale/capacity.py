@@ -1,10 +1,10 @@
-"""Shared size limits for table-based constructions."""
+"""Shared size limit: the carrier elements of a structure built, loaded or scanned."""
 
 from __future__ import annotations
 
 import os
 
-DEFAULT_MAX_SIZE = 64
+DEFAULT_MAX_SIZE = 66  # the carrier of R(G) for |G| = 64
 ENV_VAR = "GIRALE_MAX_SIZE"
 
 
@@ -13,10 +13,8 @@ class CapacityError(Exception):
 
 
 def max_size() -> int:
-    """Size bound for groups and table algebras; override via GIRALE_MAX_SIZE."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return DEFAULT_MAX_SIZE
+    """Bound on carrier elements of groups and table algebras; override via GIRALE_MAX_SIZE."""
+    raw = os.environ.get(ENV_VAR, str(DEFAULT_MAX_SIZE))
     try:
         value = int(raw)
     except ValueError as exc:

@@ -207,7 +207,7 @@ def _cmd_member_k(args, inputs: _Inputs):
 
 def _cmd_congruences(args, inputs: _Inputs):
     A = _load_algebra(inputs, args.algebra)
-    congruences = congruence_set(A, max_size=args.max_size)
+    congruences = congruence_set(A)
     payload = {
         "count": congruences.count,
         "simple": congruences.is_simple(),
@@ -451,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("congruences", help="congruence count, simplicity, FSI")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-size", type=_non_negative, default=32)
     p.set_defaults(handler=_cmd_congruences)
 
     p = add_parser("homs", help="enumerate homomorphisms between algebra files")

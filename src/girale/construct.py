@@ -58,7 +58,7 @@ def build_R(
     included, are built once per group and shared by every signature.
     """
     sig = signature_of(signature)
-    guard(group.size, "group expansion")
+    guard(group.size + 2, "group expansion")
     return _build_R_cached(group, sig)
 
 

@@ -30,7 +30,7 @@ from .algebra import (
     _row_blocks,
     _search_homs,
 )
-from .capacity import CapacityError, guard, max_size
+from .capacity import guard, max_size
 
 
 def is_prime(n: int) -> bool:
@@ -301,10 +301,7 @@ def _pushout(f: GroupHom, g: GroupHom, bound: int) -> Pushout:
     g.require_embedding("Pushout leg g")
     left, right = f.target, g.target
     n_left, n_right = left.size, right.size
-    if n_left * n_right > bound * bound:
-        raise CapacityError(
-            f"Pushout intermediate of size {n_left * n_right} exceeds {bound * bound}."
-        )
+    guard(n_left * n_right, "pushout intermediate", bound * bound)
 
     kernel = [(f.mapping[a], right.inv(g.mapping[a])) for a in range(f.source.size)]
     coset = [-1] * (n_left * n_right)

@@ -463,7 +463,7 @@ def interpolant_search(
     seen: set[bytes] = set()
     by_size: dict[int, list[Formula]] = {}
     tried = 0
-    for delta in _candidates(atoms, by_size, "bang" in signature, min(2 ** (depth + 1) - 1, 33)):
+    for delta in _candidates(atoms, by_size, "bang" in signature, min(2 ** (min(depth, 5) + 1) - 1, 33)):
         if tried >= max_candidates:
             break
         if formula_depth(delta) > depth:

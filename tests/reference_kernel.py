@@ -17,11 +17,11 @@ same violations.  The group layer at the end computes each fact its own way:
 element powers by repeated squaring and orders by walking powers, the
 invariant factors per prime by conjugating the partition that the torsion
 counts give, the ``make_group`` table by decoding and encoding each pair of
-elements, the pushout by closing its kernel under products and the
-subgroups as closures of generated sets.  Two fixture builders follow that
-girale itself does not need: ``direct_product``, whose tables come from four
-nested loops, and ``negative_cone``.  The sequent section keeps the search loop that
-re-searches every failure at each larger budget, its two rule generators
+elements, and the pushout by closing its kernel under products.  Two
+fixture builders follow that girale itself does not need: ``direct_product``,
+whose tables come from four nested loops, and ``negative_cone``.  The sequent
+section keeps the search loop that re-searches every failure at each larger
+budget, its two rule generators
 over formula tuples (one per calculus, with the multiset splits listed in
 full), the recursive structural key, all without caches or subformula
 codes, and Maehara's interpolant with one branch per rule that edits the
@@ -334,10 +334,10 @@ def _join_partitions(A: FiniteAlgebra, p: Sequence[int], q: Sequence[int]) -> tu
     return _congruence_closure(A, pairs)
 
 
-def congruence_set_reference(A: FiniteAlgebra, max_size: int = 32) -> CongruenceSet:
+def congruence_set_reference(A: FiniteAlgebra) -> CongruenceSet:
     """Reference for ``girale.algebra.congruence_set``: principal congruences
     each closed on its own, then closed under joins that propagate again."""
-    guard(A.size, "congruence computation", max_size)
+    guard(A.size, "congruence computation")
     n = A.size
     found = {_canonical(range(n))}
     for a in range(n):
@@ -447,10 +447,9 @@ def enumerate_homs(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
     injective_only: bool = False,
-    max_size: int = 16,
 ) -> list[AlgHom]:
     """Every map preserving all operations and constants, by guided backtracking."""
-    guard(source.size, "hom enumeration", max_size)
+    guard(max(source.size, target.size), "hom enumeration")
     if source.signature != target.signature:
         raise ValueError("Hom enumeration needs matching signatures.")
     n, m = source.size, target.size
@@ -750,36 +749,6 @@ def pushout(
     into_left = tuple(coset_index[enc(b, right.identity)] for b in range(n_left))
     into_right = tuple(coset_index[enc(left.identity, c)] for c in range(n_right))
     return table, [f"c{i}" for i in range(size)], into_left, into_right
-
-
-def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing the generators (closure under the product)."""
-    closed = {group.identity}
-    frontier = [g for g in generators]
-    closed.update(frontier)
-    while frontier:
-        x = frontier.pop()
-        new = {group.mul(x, y) for y in closed} - closed
-        closed |= new
-        frontier.extend(new)
-    return frozenset(closed)
-
-
-def subgroups(group: FiniteGroup) -> list[frozenset[int]]:
-    """All subgroups, via closures of generated sets; exponential in bad cases."""
-    trivial = frozenset({group.identity})
-    found = {trivial}
-    queue = [trivial]
-    while queue:
-        current = queue.pop()
-        for g in range(group.size):
-            if g in current:
-                continue
-            bigger = subgroup_closure(group, current | {g})
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 # --- fixture builders: products and negative cones of test algebras --------

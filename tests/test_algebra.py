@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girale import algebra as algebra_module
 from girale.algebra import (
     AlgHom,
     FiniteAlgebra,
@@ -22,7 +23,8 @@ from girale.algebra import (
     trivial_algebra,
 )
 from girale.construct import SIGNATURE_FULL, build_R
-from girale.group import GroupHom, _group_ops, abelian_group_catalog, make_group
+from girale.capacity import CapacityError
+from girale.group import GroupHom, _group_ops, abelian_group_catalog, group_homs, make_group
 
 from tests.reference_kernel import direct_product, is_congruence, negative_cone, refines
 
@@ -99,30 +101,6 @@ def test_trivial_algebra_passes_every_tag():
 def test_check_class_signature_mismatch():
     with pytest.raises(ValueError):
         check_class(R(Z2), "girale")
-
-
-def test_negative_cone_needs_closed_negative_elements():
-    """A chain 0 < 1 < 2 with unit 1 whose product leaves the cone: 0 * 0 = 2."""
-    meet = tuple(tuple(min(a, b) for b in range(3)) for a in range(3))
-    join = tuple(tuple(max(a, b) for b in range(3)) for a in range(3))
-    mult = ((2, 0, 0), (0, 1, 2), (0, 2, 2))
-    broken = FiniteAlgebra(3, meet, join, mult, join, one=1)
-    with pytest.raises(ValueError, match="^Negative elements are not closed under the tables.$"):
-        negative_cone(broken)
-
-
-def test_negative_cone_two_elements():
-    for group in (Z2, Z3, make_group([2, 2])):
-        cone = negative_cone(R(group))
-        assert cone.size == 2
-        assert check_class(cone, "crl").passed
-    assert negative_cone(trivial_algebra()).size == 1
-
-
-def test_negative_cone_truncated_residual():
-    cone = negative_cone(R(Z3))
-    # elements are bot then 1; (bot -> bot) /\ 1 = 1
-    assert cone.imp[0][0] == cone.one
 
 
 def test_congruences_simple():
@@ -236,14 +214,27 @@ def test_girale_guard_image_properties():
             assert algebra.mult[a][b] in image
 
 
-def test_capacity_guards():
-    from girale.capacity import CapacityError
-
-    big = build_R(make_group([12]))
-    with pytest.raises(CapacityError):
-        congruence_set(big, max_size=8)
-    with pytest.raises(CapacityError):
-        enumerate_homs(big, big, max_size=8)
+def test_capacity_guards(monkeypatch):
+    """One bound on carriers: R(Z31) and R(Z15) answer under the default and not
+    under a lower GIRALE_MAX_SIZE.  A hom enumeration stops past MAX_HOMS maps,
+    in the engine that the group homs share."""
+    z2_3 = make_group([2, 2, 2])
+    r31, r15, r8 = (R(group, SIGNATURE_FULL) for group in (make_group([31]), make_group([15]), z2_3))
+    assert congruence_set(r31).is_simple()
+    assert len(enumerate_homs(r15, r15)) == 8
+    monkeypatch.setenv("GIRALE_MAX_SIZE", "16")
+    with pytest.raises(CapacityError, match="^congruence computation has size 17, exceeding the bound 16.$"):
+        congruence_set(r15)
+    with pytest.raises(CapacityError, match="^hom enumeration has size 17, exceeding the bound 16.$"):
+        enumerate_homs(R(Z2, SIGNATURE_FULL), r15)
+    monkeypatch.delenv("GIRALE_MAX_SIZE")
+    monkeypatch.setattr(algebra_module, "MAX_HOMS", 167)  # Z2^3 has 168 automorphisms
+    searches = (lambda: enumerate_homs(r8, r8, True), lambda: group_homs(z2_3, z2_3, True))
+    for search in searches:
+        with pytest.raises(CapacityError, match="^Hom enumeration finds more than 167 maps.$"):
+            search()
+    monkeypatch.setattr(algebra_module, "MAX_HOMS", 168)
+    assert [len(search()) for search in searches] == [168, 168]
 
 
 def test_algebra_json_round_trip():
@@ -260,14 +251,14 @@ def test_constructor_checks_every_table_with_the_same_messages():
         for bad in (-1, algebra.size):
             table[2][3] = bad
             broken = tuple(tuple(row) for row in table)
-            with pytest.raises(ValueError, match=f"^{label} table entry out of range.$"):
+            with pytest.raises(ValueError, match=f"^{label} table entry out of range or not an integer.$"):
                 dataclasses.replace(algebra, **{label: broken})
         with pytest.raises(ValueError, match=f"^{label} table is not 5x5.$"):
             dataclasses.replace(algebra, **{label: getattr(algebra, label)[:4]})
-    with pytest.raises(ValueError, match="^Constant one=0 out of range.$"):
+    with pytest.raises(ValueError, match="^Constant one=0 out of range or not an integer.$"):
         FiniteAlgebra(0, (), (), (), (), 0)
     for one in (None, -1, algebra.size):  # the unit is not optional
-        with pytest.raises(ValueError, match=f"^Constant one={one} out of range.$"):
+        with pytest.raises(ValueError, match=f"^Constant one={one} out of range or not an integer.$"):
             dataclasses.replace(algebra, one=one)
     with pytest.raises(ValueError, match="^names length does not match size.$"):
         dataclasses.replace(algebra, names=algebra.names[:4])

@@ -1,6 +1,7 @@
 """Library calls with bad arguments raise at once, with the exception and
 message that name the fault, before any work is done."""
 
+import dataclasses
 import os
 from unittest import mock
 
@@ -40,6 +41,20 @@ ERRORS = {
     ),
     "hom-value-bool": (
         lambda: GroupHom(Z2, Z2, (False, True)), ValueError, "Mapping value False must be an integer",
+    ),
+    # nor is a table entry, a constant or a guard value: it would equal and hash
+    # like its int twin, and index no table
+    "algebra-float-entry": (
+        lambda: dataclasses.replace(R_FULL, mult=((0.0, 1, 2, 3),) + R_FULL.mult[1:]),
+        ValueError, "^mult table entry out of range or not an integer.$",
+    ),
+    "algebra-float-constant": (
+        lambda: dataclasses.replace(R_FULL, top=3.0),
+        ValueError, "^Constant top=3.0 out of range or not an integer.$",
+    ),
+    "algebra-float-bang": (
+        lambda: dataclasses.replace(R_FULL, bang=(0.0,) + R_FULL.bang[1:]),
+        ValueError, "^bang table entry out of range or not an integer.$",
     ),
     "enumerate-homs-signatures": (
         lambda: enumerate_homs(R_FULL, R_NONE), ValueError, "needs matching signatures",

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,16 @@ def test_build_writes_algebra(tmp_path, capsys):
 def test_build_capacity_exit_code(capsys):
     code, doc = invoke_json(capsys, ["build", "--group", "100", "--sig", "none"])
     assert code == 3
+
+
+def test_catalog_refuses_an_order_past_the_bound_before_listing(capsys):
+    """No group above GIRALE_MAX_SIZE can be made, so a larger --max-order is
+    refused before its invariant-factor chains are listed."""
+    started = time.perf_counter()
+    code, doc = invoke_json(capsys, ["catalog", "--primes", "2", "--max-order", "100000000"])
+    assert code == 3
+    assert doc["result"]["error"] == "catalog group has size 100000000, exceeding the bound 66."
+    assert time.perf_counter() - started < 1
 
 
 def test_check_class_and_member(tmp_path, capsys):
@@ -300,6 +311,17 @@ PINNED = {
         "--depth", "3",
     ],
 }
+
+
+def test_interpolate_depth_past_five_caps_the_candidate_size(capsys, monkeypatch):
+    """Any depth of 5 or more gives the candidate size cap 33, so a huge depth
+    answers as depth 40 does, at once, without computing 2 ** (depth + 1)."""
+    monkeypatch.chdir(Path(__file__).parent / "data")
+    argv = ["interpolate", *_INTERPOLATE[:-2], "--mode", "craig", "--json", "--depth"]
+    started = time.perf_counter()
+    outputs = [invoke(capsys, argv + [depth]) for depth in ("40", "1000000000000")]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -579,6 +601,8 @@ MALFORMED = {
     "algebra-fails-class-laws": (["member-k", "--algebra", "{file}", "--primes", "2"], BROKEN_GIRALE),
     # the span check runs in one process: there is no worker count to give
     "catalog-jobs": (["catalog", "--primes", "2", "--spans", "--jobs", "2"], None),
+    # GIRALE_MAX_SIZE is the one size bound: congruences has none of its own
+    "congruences-max-size": (["congruences", "--algebra", "{file}", "--max-size", "8"], ALG),
 }
 # what a case's error must say: the field or element at fault, never a bare KeyError
 ERROR_SAYS = {

@@ -25,7 +25,6 @@ from girale.group import (
 )
 
 from tests import reference_kernel as ref
-from tests.reference_kernel import subgroups
 
 
 def identity(group: FiniteGroup) -> GroupHom:
@@ -67,7 +66,7 @@ def test_make_group_rejects_bad_factors():
 
 def test_capacity_bound():
     with pytest.raises(CapacityError):
-        make_group([65])
+        make_group([67])
 
 
 def test_capacity_env_override(monkeypatch):
@@ -235,7 +234,7 @@ def test_pushout_memo_reads_the_size_bound_on_every_call(monkeypatch):
     with pytest.raises(CapacityError, match="pushout has size 15"):
         pushout(f, g)
     monkeypatch.setenv("GIRALE_MAX_SIZE", "3")  # so is the intermediate B x C
-    with pytest.raises(CapacityError, match="intermediate of size 15"):
+    with pytest.raises(CapacityError, match="intermediate has size 15"):
         pushout(f, g)
     monkeypatch.delenv("GIRALE_MAX_SIZE")
     assert pushout(f, g).group.size == 15
@@ -254,12 +253,6 @@ def test_pushout_rejects_a_bad_leg_on_every_call():
             pushout(identity(z4), collapse)
     info = group_module._pushout.cache_info()
     assert (info.misses, info.hits, info.currsize) == (6, 0, 0)
-
-
-def test_subgroups_of_z9():
-    z9 = make_group([9])
-    sizes = sorted(len(s) for s in subgroups(z9))
-    assert sizes == [1, 3, 9]
 
 
 def test_group_homs_counts():
