@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+import sys
 import types
 
 from .algebra import (
@@ -56,6 +57,17 @@ from .semantics import (
     valid,
 )
 
-# the public API: every name imported above
+
+def clear_caches() -> None:
+    """Empty every memo: each ``functools.lru_cache``, found by its
+    ``cache_parameters``, at the top level of a loaded girale module."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_parameters"):
+                    value.cache_clear()
+
+
+# the public API: every name imported or defined above
 __all__ = sorted(name for name, value in globals().items()
                  if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -61,6 +61,8 @@ class FiniteAlgebra:
 
     def __post_init__(self) -> None:
         n = self.size
+        if type(n) is not int:
+            raise ValueError(f"Size {n!r} must be an integer.")
         for label in ("meet", "join", "mult", "imp"):
             table = getattr(self, label)
             if len(table) != n or any(len(row) != n for row in table):
@@ -566,9 +568,7 @@ class _Hom:
     """A map between the carriers of two finite structures, given by index;
     its dataclass holds ``source``, ``target`` and ``mapping``, which is kept as
     a tuple because the memos it enters hash it.  Every kind of map reads one
-    memo of hom checks, which ``cache_clear`` empties."""
-
-    cache_clear = staticmethod(_hom_violations.cache_clear)
+    memo of hom checks, ``_hom_violations``."""
 
     def __post_init__(self) -> None:
         if type(self.mapping) is not tuple:

@@ -98,15 +98,6 @@ def _expansion(group: FiniteGroup) -> FiniteAlgebra:
     return FiniteAlgebra(size, meet, join, mult, imp, group.identity, names=names)
 
 
-def _clear_build_R() -> None:
-    _build_R_cached.cache_clear()
-    _expansion.cache_clear()
-
-
-build_R.cache_info = _build_R_cached.cache_info  # type: ignore[attr-defined]
-build_R.cache_clear = _clear_build_R  # type: ignore[attr-defined]
-
-
 @dataclass(frozen=True)
 class RParts:
     """Decomposition of an R-shaped algebra into bounds and group subreduct."""
@@ -302,11 +293,4 @@ def _shape(A: FiniteAlgebra, names: tuple | None) -> MembershipResult:
     return MembershipResult(member=True, parts=parts, canon=canon)
 
 
-def _clear_member_K() -> None:
-    _member_K.cache_clear()
-    _shape.cache_clear()
-    _split_tables.cache_clear()
-
-
 member_K.cache_info = _member_K.cache_info  # type: ignore[attr-defined]
-member_K.cache_clear = _clear_member_K  # type: ignore[attr-defined]

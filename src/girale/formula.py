@@ -65,10 +65,10 @@ def _enter(key: tuple) -> Formula:
 
 
 class _Node:
-    """Slots for the structural key, filled on first use, and the weak
-    reference; pickling and deepcopy go through the constructor."""
+    """The slot of the weak reference; pickling and deepcopy go through the
+    constructor."""
 
-    __slots__ = ("_key", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(map(self.__getattribute__, self.__slots__))
@@ -355,23 +355,15 @@ def depth(f: Formula) -> int:
     return 1 + max(depth(f.left), depth(f.right))
 
 
-def structural_key(f: Formula):
-    """Total order key: variables, constants, then and < or < mul < imp < bang;
-    cached on the node."""
-    try:
-        return f._key  # type: ignore[union-attr]
-    except AttributeError:
-        pass
+def structural_key(f: Formula) -> tuple:
+    """Total order key: variables, constants, then and < or < mul < imp < bang."""
     if isinstance(f, Var):
-        key: tuple = (0, f.name)
-    elif isinstance(f, Const):
-        key = (1, CONSTS.index(f.symbol))
-    elif isinstance(f, BinOp):
-        key = (2, OPS.index(f.op), structural_key(f.left), structural_key(f.right))
-    else:
-        key = (3, structural_key(f.child))
-    _set(f, "_key", key)
-    return key
+        return (0, f.name)
+    if isinstance(f, Const):
+        return (1, CONSTS.index(f.symbol))
+    if isinstance(f, BinOp):
+        return (2, OPS.index(f.op), structural_key(f.left), structural_key(f.right))
+    return (3, structural_key(f.child))
 
 
 def connectives(f: Formula) -> set[str]:

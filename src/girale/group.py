@@ -51,6 +51,9 @@ class PrimeSet:
     primes: frozenset[int]
 
     def __post_init__(self) -> None:
+        for p in self.primes:
+            if type(p) is not int:
+                raise ValueError(f"Prime {p!r} must be an integer.")
         bad = sorted(p for p in self.primes if not is_prime(p))
         if bad:
             raise ValueError(f"Not prime: {bad}.")
@@ -62,9 +65,6 @@ class PrimeSet:
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.primes))
 
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
     def __len__(self) -> int:
         return len(self.primes)
 
@@ -73,10 +73,10 @@ class PrimeSet:
 class FiniteGroup:
     """Abelian group given by its Cayley table; the constructor checks no law.
 
-    Element orders, invariant factors and the hash are computed on first use
-    and kept by ``object.__setattr__``: a ``cached_property`` would write the
-    instance ``__dict__`` and slow every later attribute read.  Equality and
-    pickles see only the fields.
+    The hash and the element orders are computed on first use and kept by
+    ``object.__setattr__``: a ``cached_property`` would write the instance
+    ``__dict__`` and slow every later attribute read.  Equality and pickles
+    see only the fields.
     """
 
     size: int
@@ -115,11 +115,7 @@ class FiniteGroup:
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         """The canonical invariant factors (``invariant_factors_of``)."""
-        try:
-            return self._factors  # type: ignore[attr-defined]
-        except AttributeError:
-            object.__setattr__(self, "_factors", invariant_factors_of(self))
-            return self._factors  # type: ignore[attr-defined]
+        return invariant_factors_of(self)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -327,9 +323,6 @@ def _pushout(f: GroupHom, g: GroupHom, bound: int) -> Pushout:
         right, quotient, tuple(coset[left.identity * n_right + c] for c in range(n_right))
     )
     return Pushout(quotient, into_left, into_right)
-
-
-pushout.cache_clear = _pushout.cache_clear  # type: ignore[attr-defined]
 
 
 def group_homs(

@@ -32,6 +32,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib.resources import files
 from typing import Iterable, Iterator, Sequence
 
@@ -353,15 +354,16 @@ def _split(
 
 class _Calculus:
     """The backward rules of FLe (with exchange) or FL (without) over the
-    subformulas of one root sequent.  By the subformula property no rule
-    introduces any other formula, so each is coded by its rank under
-    ``structural_key``: sorting codes sorts formulas in multiset order, and
-    goals are tuples of ints.  With exchange, antecedents are sorted tuples;
-    without it, the implication is read as the left residual."""
+    subformulas of ``roots``, the formulas of one root sequent.  By the
+    subformula property no rule introduces any other formula, so each is
+    coded by its rank under ``structural_key``: sorting codes sorts formulas
+    in multiset order, and goals are tuples of ints.  With exchange,
+    antecedents are sorted tuples; without it, the implication is read as
+    the left residual."""
 
-    def __init__(self, root: Sequent, exchange: bool) -> None:
+    def __init__(self, roots: frozenset, exchange: bool) -> None:
         code: dict[Formula, int] = {}
-        stack = [f for f in (*root.antecedent, root.succedent) if f is not None]
+        stack = [f for f in roots if f is not None]
         while stack:
             f = stack.pop()
             if f not in code:
@@ -479,18 +481,8 @@ class _Calculus:
                     yield "->l", f, ((ant[j:i], a), (ant[:j] + (b,) + after, succ))
 
 
-_CALCULI: dict = {}  # the last calculus built, by its root formulas and exchange
-
-
-def _calculus(root: Sequent, exchange: bool) -> _Calculus:
-    """The calculus of the root's formulas, kept until another is needed, so
-    that a proof is checked in the calculus its search built."""
-    key = frozenset((*root.antecedent, root.succedent)), exchange
-    calculus = _CALCULI.get(key)
-    if calculus is None:
-        _CALCULI.clear()
-        calculus = _CALCULI[key] = _Calculus(root, exchange)
-    return calculus
+# the last calculus built, so that a proof is checked in the one its search built
+_calculus = lru_cache(maxsize=1)(_Calculus)
 
 
 def search_sequent(
@@ -512,7 +504,7 @@ def search_sequent(
     sequent's size plus one, a height that no branch reaches."""
     if bound < 1:
         raise ValueError("bound must be at least 1.")
-    calculus = _calculus(seq, with_exchange)
+    calculus = _calculus(frozenset((*seq.antecedent, seq.succedent)), with_exchange)
     formulas = calculus.formulas  # bangs sort last
     if BOT in calculus.code or TOP in calculus.code or formulas and type(formulas[-1]) is Bang:
         _check_fragment(seq)  # names the first formula's symbols outside the fragment
@@ -593,7 +585,8 @@ def prove_sequent(seq: Sequent, bound: int, with_exchange: bool = True) -> Seque
 def validate_proof(proof: SequentProof, with_exchange: bool = True) -> list[str]:
     """Check that every node instantiates one calculus rule, over the codes
     of the root's subformulas; [] means valid."""
-    calculus = _calculus(proof.sequent, with_exchange)
+    seq = proof.sequent
+    calculus = _calculus(frozenset((*seq.antecedent, seq.succedent)), with_exchange)
     problems = []
     for node in proof.nodes():
         goal = calculus.encode(node.sequent)

@@ -1,6 +1,6 @@
 import pytest
 
-from girale import algebra
+from girale import algebra, clear_caches
 from girale.algebra import AlgHom, FiniteAlgebra
 from girale.construct import SIGNATURE_FULL, build_R
 from girale.group import abelian_group_catalog, make_group
@@ -58,5 +58,5 @@ def hom_checks(monkeypatch):
     monkeypatch.setattr(
         algebra, "_preservation_violations", lambda h, ops: calls.append(h) or check(h, ops)
     )
-    AlgHom.cache_clear()
+    clear_caches()
     return calls

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from girale import clear_caches
 from girale.algebra import (
     OPTIONAL_SYMBOLS,
     check_signature_laws,
@@ -73,7 +74,7 @@ def _report(number, text):
 
 def test_criterion_01_construction_fidelity(groups12):
     """Every expansion over every signature subset satisfies its class laws."""
-    build_R.cache_clear()
+    clear_caches()
     started = time.monotonic()
     checked = 0
     for group in groups12:

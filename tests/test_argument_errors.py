@@ -56,6 +56,15 @@ ERRORS = {
         lambda: dataclasses.replace(R_FULL, bang=(0.0,) + R_FULL.bang[1:]),
         ValueError, "^bang table entry out of range or not an integer.$",
     ),
+    # nor is a size or a prime: 3.0 passes every range test and is no index, and
+    # 2.5 is not composite
+    "algebra-float-size": (
+        lambda: dataclasses.replace(R_FULL, size=4.0), ValueError, r"^Size 4\.0 must be an integer\.$",
+    ),
+    "prime-float": (lambda: PrimeSet.of(2.5), ValueError, r"^Prime 2\.5 must be an integer\.$"),
+    "prime-float-integral": (
+        lambda: PrimeSet.of(2, 3.0), ValueError, r"^Prime 3\.0 must be an integer\.$",
+    ),
     "enumerate-homs-signatures": (
         lambda: enumerate_homs(R_FULL, R_NONE), ValueError, "needs matching signatures",
     ),

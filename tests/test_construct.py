@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from girale import construct
+from girale import clear_caches, construct
 from girale.algebra import (
     AlgHom,
     check_signature_laws,
@@ -257,10 +257,10 @@ def test_restrict_embedding_reads_the_shapes_member_K_found(monkeypatch):
     calls = []
     split = construct.split_R
     monkeypatch.setattr(construct, "split_R", lambda A: calls.append(A) or split(A))
-    member_K.cache_clear()
+    clear_caches()
     alpha = restrict_embedding(beta)
     assert calls == [beta.source, beta.target]  # not yet seen: one split per end
-    member_K.cache_clear()
+    clear_caches()
     query = KClassQuery(PrimeSet.of(3), frozenset())
     assert member_K(beta.source, query).member and member_K(beta.target, query).member
     del calls[:]

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from girale import construct
+from girale import clear_caches, construct
 from girale.algebra import (
     OPTIONAL_SYMBOLS,
     AlgHom,
@@ -141,16 +141,17 @@ def test_build_R_matches_the_per_signature_reference():
     ]
     groups = [make_group(chain or [1]) for chain in abelian_group_catalog(12)]
     assert (len(groups), len(signatures)) == (17, 16)
-    build_R.cache_clear()
+    clear_caches()
     for group in groups:
         for sig in signatures:
             new, old = build_R(group, sig), ref.build_R_reference(group, sig)
             for field in dataclasses.fields(new):
                 assert getattr(new, field.name) == getattr(old, field.name), field.name
-    assert build_R.cache_info().currsize == 17 * 16
+    assert construct._build_R_cached.cache_info().currsize == 17 * 16
     assert construct._expansion.cache_info().currsize == 17
-    build_R.cache_clear()
-    assert build_R.cache_info().currsize == construct._expansion.cache_info().currsize == 0
+    clear_caches()
+    assert construct._build_R_cached.cache_info().currsize == 0
+    assert construct._expansion.cache_info().currsize == 0
 
 
 def test_non_members_pass_their_laws():
@@ -173,7 +174,7 @@ def test_member_K_matches_reference_on_family():
 def test_member_K_matches_reference_under_each_prime_set_in_turn():
     """Every query after the first finds the shape of the algebra cached: the
     verdict, failure, witness, group names and canon still match."""
-    member_K.cache_clear()
+    clear_caches()
     assert member_K.cache_info().currsize == construct._shape.cache_info().currsize == 0
     for primes in PRIME_SETS:
         for A in FAMILY:
@@ -220,7 +221,7 @@ def test_structure_mismatch_is_zero_off_the_unit(violation_calls):
     decides structure-mismatch so, with no hom check of its own, and each of
     its verdicts is the reference's.  No edit of ! passes the laws, and a
     build_R output is a member whose canon is the identity."""
-    member_K.cache_clear()
+    clear_caches()
     accepted = mismatched = rebuilt = 0
     for A in _zero_and_bang_edits():
         try:
@@ -280,9 +281,9 @@ def test_split_R_rejects_failed_laws():
 
 def test_split_R_keeps_its_group_part_per_table_set():
     """After the law check, split_R's work is kept per table set and names:
-    member_K.cache_clear() empties it, and over FAMILY each kept answer is
+    clear_caches() empties it, and over FAMILY each kept answer is
     computed once while each failure is computed again on every call."""
-    member_K.cache_clear()
+    clear_caches()
     assert construct._split_tables.cache_info().currsize == 0
     kept, raised = set(), 0
     for A in FAMILY + FAMILY:
@@ -305,7 +306,7 @@ def test_signature_variants_share_one_group_part(monkeypatch):
     monkeypatch.setattr(
         construct, "group_from_table", lambda *a: calls.append(a) or group_from_table(*a)
     )
-    member_K.cache_clear()
+    clear_caches()
     group = make_group([2, 4])
     parts = [split_R(build_R(group, sig)) for sig in SIGNATURES]
     assert len(calls) == 1
@@ -315,7 +316,7 @@ def test_signature_variants_share_one_group_part(monkeypatch):
 def test_split_R_raises_each_failure_on_every_call(monkeypatch):
     """A sentence-1 or group-laws failure is raised again on every call, and a
     later call that passes is not answered by an earlier failure."""
-    member_K.cache_clear()
+    clear_caches()
     sentence_1 = next(
         A for A in FAMILY
         if check_signature_laws(A).passed and ref.member_K(A, PrimeSet.of(2))[2] == "sentence-1"

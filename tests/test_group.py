@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from girale import clear_caches
 from girale import group as group_module
 from girale.capacity import CapacityError
 from girale.group import (
@@ -191,7 +192,7 @@ def test_pushout_preserves_sigma():
 def test_pushout_is_built_once_for_equal_legs():
     """Legs that are equal but separate objects find the first pushout in the
     memo, and it is still the reference's."""
-    pushout.cache_clear()
+    clear_caches()
     z3, z9 = make_group([3]), make_group([9])
     f, g = embeddings(z3, z9)
     first = pushout(f, g)
@@ -212,11 +213,11 @@ def test_pushout_is_built_once_for_equal_legs():
 def test_pushout_takes_a_leg_with_a_list_mapping():
     """A map keeps its mapping as a tuple, so a leg given by a list enters the
     pushout memo and answers as the same leg given by a tuple."""
-    pushout.cache_clear()
+    clear_caches()
     z2, z4 = make_group([2]), make_group([4])
     listed = GroupHom(z2, z4, [0, 2])
     from_list = pushout(listed, identity(z2))
-    pushout.cache_clear()
+    clear_caches()
     from_tuple = pushout(GroupHom(z2, z4, (0, 2)), identity(z2))
     assert from_list == from_tuple and from_list.group.size == 4
     assert listed.mapping == (0, 2) and listed == GroupHom(z2, z4, (0, 2))
@@ -225,7 +226,7 @@ def test_pushout_takes_a_leg_with_a_list_mapping():
 def test_pushout_memo_reads_the_size_bound_on_every_call(monkeypatch):
     """A lowered GIRALE_MAX_SIZE is a new key: the cached pushout of Z3 and Z5
     over the trivial group (size 15) does not get past either capacity check."""
-    pushout.cache_clear()
+    clear_caches()
     monkeypatch.delenv("GIRALE_MAX_SIZE", raising=False)
     trivial, z3, z5 = make_group([1]), make_group([3]), make_group([5])
     f, g = embeddings(trivial, z3)[0], embeddings(trivial, z5)[0]
@@ -243,7 +244,7 @@ def test_pushout_memo_reads_the_size_bound_on_every_call(monkeypatch):
 
 def test_pushout_rejects_a_bad_leg_on_every_call():
     """Failures are not memoised: each call checks the legs again."""
-    pushout.cache_clear()
+    clear_caches()
     z2, z4 = make_group([2]), make_group([4])
     collapse = GroupHom(z4, z2, (0, 1, 0, 1))
     for _ in range(3):
@@ -323,6 +324,6 @@ def test_pickle_round_trip_builds_a_fresh_group(monkeypatch):
 def test_group_facts_are_computed_once():
     group = make_group([2, 6])
     assert group.orders is group.orders
-    assert group.invariant_factors is group.invariant_factors == (2, 6)
+    assert group.invariant_factors == group.invariant_factors == (2, 6)
     assert hash(group) == hash(make_group([2, 6]))
     assert group == pickle.loads(pickle.dumps(group))

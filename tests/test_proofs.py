@@ -254,31 +254,24 @@ def test_validate_proof_rejects_corruption():
     assert validate_proof(relabeled) == ["bad /\\r instance at x, y => x * y"]
 
 
-def _count_calculi(monkeypatch) -> list:
-    built = []
-
-    class Counted(proofs._Calculus):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(proofs, "_Calculus", Counted)
-    monkeypatch.setattr(proofs, "_CALCULI", {})
-    return built
+def _count_calculi():
+    """Empty the memo of calculi; the function returned counts those built since."""
+    proofs._calculus.cache_clear()
+    return lambda: proofs._calculus.cache_info().misses
 
 
 @pytest.mark.parametrize("with_exchange", [True, False])
-def test_validating_a_fresh_proof_builds_no_second_calculus(monkeypatch, with_exchange):
-    built = _count_calculi(monkeypatch)
+def test_validating_a_fresh_proof_builds_no_second_calculus(with_exchange):
+    built = _count_calculi()
     seq = parse_sequent("y, x, x -> y -> z => z")
     proof, _ = proofs.search_sequent(seq, 10, with_exchange)
-    assert proof is not None and len(built) == 1
-    assert not validate_proof(proof, with_exchange) and len(built) == 1
+    assert proof is not None and built() == 1
+    assert not validate_proof(proof, with_exchange) and built() == 1
     # the other calculus, or another root, needs a calculus of its own
     validate_proof(proof, not with_exchange)
-    assert len(built) == 2
+    assert built() == 2
     assert not validate_proof(prove_sequent(parse_sequent("x, y => x * y"), 4))
-    assert len(built) == 3
+    assert built() == 3
 
 
 def _leaf(text):

@@ -167,7 +167,7 @@ def test_repeated_antecedent_formulas_match_the_reference(text, with_exchange):
 
 
 def _balanced(seq: Sequent, with_exchange: bool) -> bool:
-    calculus = _Calculus(seq, with_exchange)
+    calculus = _Calculus(frozenset((*seq.antecedent, seq.succedent)), with_exchange)
     return calculus.balanced(calculus.encode(seq))
 
 
@@ -233,7 +233,7 @@ DECIDED_AT_THE_HEIGHT_BOUND = [
 @pytest.mark.parametrize("with_exchange", [True, False])
 def test_failures_the_pruned_search_cuts_off_stay_exhaustive(text, with_exchange):
     seq = parse_sequent(text)
-    calculus = _Calculus(seq, with_exchange)
+    calculus = _Calculus(frozenset((*seq.antecedent, seq.succedent)), with_exchange)
     assert _search(calculus, seq, 6) == (None, False)
     assert search_sequent(seq, 6, with_exchange) == (None, True)
 

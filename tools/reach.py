@@ -1,4 +1,5 @@
-"""List every function of girale that neither a CLI test nor a workload calls.
+"""List every function of girale that neither a CLI test nor a workload
+calls, and every memo that no workload hits.
 
 Run from anywhere:
 
@@ -20,6 +21,11 @@ one that is defined and not reached.  The script prints every other function
 that was not reached, and every stale allowance, and exits 1 if there is one;
 it exits 2 if a test or a workload item fails, since the trace of a failing
 run does not show what a working one reaches.
+
+Each workload pass starts from empty memos (``girale.clear_caches()``), and
+after it the hits and misses of every memo, each ``functools.lru_cache`` at
+the top level of a girale module, are printed.  A memo with no hit on any
+workload pays for nothing, and it too makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -44,9 +50,6 @@ ALLOWED = {
     "proofs._sorted_ms",
     # the console-script entry (pyproject.toml); the tests call cli.run, CI runs it
     "cli.main",
-    # the cache hooks behind build_R.cache_clear and member_K.cache_clear, which tests call
-    "construct._clear_build_R",
-    "construct._clear_member_K",
     # the raise path of residuals_from_mult: build_R's tables are residuated by
     # construction, so no verb's input trips it
     "algebra.NotResiduated.__init__",
@@ -75,12 +78,26 @@ def definitions() -> dict[tuple[str, int], str]:
     return found
 
 
-def run_workloads() -> list[str]:
-    """One seed-1 pass of each workload with its oracles; returns the problems."""
+def memos() -> dict[str, object]:
+    """Every ``lru_cache`` at the top level of a loaded girale module, by name."""
+    found = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.startswith("girale."):
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_parameters"):
+                    found[f"{value.__module__.removeprefix('girale.')}.{name}"] = value
+    return found
+
+
+def run_workloads() -> tuple[list[str], dict[str, dict[str, tuple[int, int]]]]:
+    """One seed-1 pass of each workload with its oracles, each from empty
+    memos; returns the problems and each pass's (hits, misses) by memo."""
+    import girale
     import workloads
 
-    problems = []
+    problems, traffic = [], {}
     for name in WORKLOADS:
+        girale.clear_caches()
         workload = workloads.WORKLOADS[name](1)
         items = workload.pass_items()
         problems += [f"{name} {key}: {p}" for key, _, p in workload.prelude if p]
@@ -91,7 +108,8 @@ def run_workloads() -> list[str]:
                 problem = f"{type(exc).__name__}: {exc}"
             if problem:
                 problems.append(f"{name} {item.key}: {problem}")
-    return problems
+        traffic[name] = {memo: cache.cache_info()[:2] for memo, cache in memos().items()}
+    return problems, traffic
 
 
 def main() -> int:
@@ -109,7 +127,7 @@ def main() -> int:
 
         tests = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT)]
                             + [str(ROOT / t) for t in CLI_TESTS])
-        problems = run_workloads()
+        problems, traffic = run_workloads()
     finally:
         sys.setprofile(None)
 
@@ -135,10 +153,22 @@ def main() -> int:
         print(line)
     for name in stale:
         print(f"allowed but defined nowhere or reached: {name}")
+    names = list(memos())
+    width = max(map(len, names))
+    print("memo hits/misses".ljust(width), *(f"{name:>16}" for name in WORKLOADS))
+    idle = []
+    for memo in names:
+        counts = [traffic[name].get(memo, (0, 0)) for name in WORKLOADS]
+        print(memo.ljust(width), *(f"{f'{hits}/{misses}':>16}" for hits, misses in counts))
+        if not any(hits for hits, _ in counts):
+            idle.append(memo)
+    for memo in idle:
+        print(f"no workload hits the memo {memo}")
     elapsed = time.perf_counter() - start
     print(f"reach: {len(defs)} functions, {len(unreached)} unreached outside the "
-          f"{len(ALLOWED)} allowed, {elapsed:.1f} s")
-    return 1 if unreached or stale else 0
+          f"{len(ALLOWED)} allowed, {len(idle)} of {len(names)} memos without a hit, "
+          f"{elapsed:.1f} s")
+    return 1 if unreached or stale or idle else 0
 
 
 if __name__ == "__main__":
