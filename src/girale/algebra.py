@@ -419,13 +419,21 @@ def congruence_set(A: FiniteAlgebra) -> CongruenceSet:
     closure that relates a pair whose Cg is known merges all of it and queues
     none of its pairs.  Con(A) <= Eq(A) is a sublattice: so two congruences
     join as equivalences, by union-find over their blocks.
+
+    When the core laws hold, a theta b iff ((a -> b) /\\ (b -> a) /\\ 1) theta 1
+    (Blount & Tsinakis, *The structure of residuated lattices*, IJAC 13, 2003):
+    every principal congruence is Cg(u, 1) for some u < 1, so only those are
+    closed.  Any other table closes Cg(a, b) for every pair a < b.
     """
     guard(A.size, "congruence computation")
-    n = A.size
+    n, one = A.size, A.one
+    if _core_violations(n, A.meet, A.join, A.mult, A.imp, one):
+        seeds = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    else:
+        seeds = [(min(u, one), max(u, one)) for u in range(n) if u != one and A.leq(u, one)]
     known: dict[tuple[int, int], Partition] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            known[a, b] = _principal(A, a, b, known)
+    for a, b in seeds:
+        known[a, b] = _principal(A, a, b, known)
     found = {_canonical(range(n)), *known.values()}
     worklist = sorted(found)
     while worklist:

@@ -17,9 +17,11 @@ same violations.  The group layer at the end computes each fact its own way:
 element powers by repeated squaring and orders by walking powers, the
 invariant factors per prime by conjugating the partition that the torsion
 counts give, the ``make_group`` table by decoding and encoding each pair of
-elements, and the pushout by closing its kernel under products.  Two
+elements, and the pushout by closing its kernel under products.  Four
 fixture builders follow that girale itself does not need: ``direct_product``,
-whose tables come from four nested loops, and ``negative_cone``.  The sequent
+whose tables come from four nested loops, ``negative_cone``, and the Goedel
+and Lukasiewicz chains, whose unit is the top, so that every element lies
+below it.  The sequent
 section keeps the search loop that re-searches every failure at each larger
 budget, its two rule generators
 over formula tuples (one per calculus, with the multiset splits listed in
@@ -826,6 +828,33 @@ def negative_cone(A: FiniteAlgebra) -> FiniteAlgebra:
         one=index[A.one],
         names=names,
     )
+
+
+def _chain(n: int, mult, imp) -> FiniteAlgebra:
+    """The n-element chain 0 < 1 < ... < n - 1 with unit n - 1 and the given
+    product and residual of two elements."""
+    rows = range(n)
+    return FiniteAlgebra(
+        size=n,
+        meet=tuple(tuple(min(a, b) for b in rows) for a in rows),
+        join=tuple(tuple(max(a, b) for b in rows) for a in rows),
+        mult=tuple(tuple(mult(a, b) for b in rows) for a in rows),
+        imp=tuple(tuple(imp(a, b) for b in rows) for a in rows),
+        one=n - 1,
+    )
+
+
+def godel_chain(n: int) -> FiniteAlgebra:
+    """Product min, a -> b the top when a <= b and b otherwise: every up-set
+    of the chain is the unit class of a congruence, so it has n of them."""
+    return _chain(n, min, lambda a, b: n - 1 if a <= b else b)
+
+
+def lukasiewicz_chain(n: int) -> FiniteAlgebra:
+    """Truncated sum, a * b = max(0, a + b - top) and a -> b = min(top, top - a + b):
+    a simple algebra, whose congruences are Delta and the full relation."""
+    top = n - 1
+    return _chain(n, lambda a, b: max(0, a + b - top), lambda a, b: min(top, top - a + b))
 
 
 # --- sequents ---------------------------------------------------------------

@@ -511,6 +511,14 @@ def test_catalog_spans_output_pinned(capsys, name):
     assert out == (Path(__file__).parent / "data" / f"{name}.json").read_text()
 
 
+def test_catalog_simplicity_output_pinned(capsys):
+    """Byte-identical --json for the laws and simplicity of every expansion of a
+    3-group of order <= 62 (catalog's congruence-heavy path)."""
+    code, out = invoke(capsys, ["catalog", "--primes", "3", "--max-order", "62", "--json"])
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "catalog-p3-o62.json").read_text()
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["build", "--sig", "none"]) == 2
     assert run(["nonsense"]) == 2

@@ -9,16 +9,24 @@ no law and some of which read one argument only, the congruences must be
 exactly the set partitions that ``is_congruence`` accepts.  ``is_fsi``, one
 meet of every congruence above Delta, must agree with the reference's pairwise
 meets.
+
+Where the core laws hold, ``congruence_set`` closes Cg(u, 1) for each u < 1
+alone.  The Goedel and Lukasiewicz chains, where every element lies below 1,
+and an R(Z5) whose ``!`` no longer meets G1-G4 check that path against the
+reference; a count of ``_principal`` calls checks which path runs.
 """
 
+import dataclasses
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girale import algebra
 from girale.algebra import (
     OPTIONAL_SYMBOLS,
     FiniteAlgebra,
+    check_signature_laws,
     congruence_set,
     trivial_algebra,
 )
@@ -28,8 +36,10 @@ from girale.group import abelian_group_catalog, make_group
 from tests.reference_kernel import (
     congruence_set_reference,
     direct_product,
+    godel_chain,
     is_congruence,
     is_fsi,
+    lukasiewicz_chain,
     negative_cone,
 )
 
@@ -72,6 +82,61 @@ def test_r_z2_times_r_z3_matches_reference():
     assert result == congruence_set_reference(product)
     assert product.size == 20 and result.count == 4
     assert not result.is_simple() and not result.is_fsi()
+
+
+CHAINS = [build(n) for build in (godel_chain, lukasiewicz_chain) for n in range(2, 9)]
+
+
+def _r_z5_with_permuted_bang():
+    A = build_R(make_group([5]), SIGNATURE_FULL)
+    return dataclasses.replace(A, bang=A.bang[1:] + A.bang[:1])
+
+
+def test_chains_match_reference():
+    """Every element lies below 1, so every Cg(u, 1) with u < 1 is closed."""
+    assert all(check_signature_laws(A).passed for A in CHAINS)
+    _assert_matches_reference(CHAINS)
+    assert [congruence_set(A).count for A in CHAINS] == [*range(2, 9), *[2] * 7]
+
+
+def test_permuted_bang_matches_reference():
+    """The core laws hold and G1-G4 do not: the seeds come from the lattice
+    reduct, and compatibility with ``!`` still comes from propagation."""
+    A = _r_z5_with_permuted_bang()
+    report = check_signature_laws(A)
+    assert not report.passed
+    assert {v.law for v in report.violations} <= {"G1", "G2", "G3", "G4"}
+    _assert_matches_reference([A])
+
+
+def _principal_calls(monkeypatch, A) -> int:
+    calls = []
+    closure = algebra._principal
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_principal", counted)
+        congruence_set(A)
+    return len(calls)
+
+
+def test_one_closure_per_element_below_the_unit(monkeypatch):
+    """|down(1)| - 1 closures where the core laws hold, n(n - 1)/2 otherwise."""
+    r_z5 = build_R(make_group([5]), SIGNATURE_FULL)
+    product = direct_product(
+        build_R(make_group([2]), SIGNATURE_FULL), build_R(make_group([3]), SIGNATURE_FULL)
+    )
+    for A in [r_z5, _r_z5_with_permuted_bang(), product, *CHAINS]:
+        below = sum(A.leq(u, A.one) for u in range(A.size))
+        assert _principal_calls(monkeypatch, A) == below - 1, A.size
+    assert _principal_calls(monkeypatch, r_z5) == 1
+    broken = dataclasses.replace(r_z5, mult=r_z5.join)  # 1 is no unit of the join
+    assert not check_signature_laws(broken).passed
+    assert _principal_calls(monkeypatch, broken) == 7 * 6 // 2
+    assert congruence_set(broken) == congruence_set_reference(broken)
 
 
 def _set_partitions(n: int):
